@@ -66,12 +66,7 @@ def _sweep_cost_bytes(sweep) -> int:
     """Pessimistic estimate of one kept sweep's factor memory."""
     if sweep.is_dense:
         return sweep.num_points * sweep.dimension * sweep.dimension * 16
-    entries = 0
-    for factorization in sweep.factors:
-        entries += sum(len(row) for row in factorization.upper_rows)
-        entries += sum(len(step) for step in factorization.eliminations)
-    # Complex value plus dict/index bookkeeping per stored entry.
-    return entries * 24
+    return sum(chunk.nbytes for __, chunk in sweep.factors)
 
 
 class AnalysisSession:

@@ -12,10 +12,13 @@ owns the whole strategy:
   per chunk;
 * **sparse path** — the union sparsity structure is assembled once, a
   fill-reducing elimination order (:mod:`repro.linalg.ordering`, AMD by
-  default) is computed from it, the ordered pivot search runs at the first
-  point and every other point is served by numeric refactorization
-  (:func:`~repro.linalg.lu.sparse_lu_reusing`), falling back to a fresh
-  ordered factorization only when a reused pivot degrades.
+  default) is computed from it and the ordered pivot search
+  (:func:`~repro.linalg.lu.sparse_lu_reusing`) runs at the first point.  Its
+  pivot order is compiled into a :class:`~repro.linalg.lu.RefactorSchedule`
+  and every other point is refactored by it, vectorized over chunks of
+  points sized by the schedule's memory model; a point whose reused pivot
+  degrades gets a fresh ordered factorization, which becomes the pattern
+  for the points after it.
 
 :class:`SweepEngine` streams factors (factor, use, discard — the memory-light
 shape of ``ac_sweep``); :class:`SweepFactors` keeps them (the shape of
@@ -44,6 +47,14 @@ from .resilience import (SolvePolicy, SweepReport, resilient_sparse_solve,
 __all__ = ["SweepEngine", "SweepFactors"]
 
 _METHODS = ("auto", "dense", "sparse")
+
+#: Modelled working memory of one sparse refactorization chunk (see
+#: :meth:`~repro.linalg.lu.RefactorSchedule.chunk_members`); consumers
+#: release each chunk before the next is factored, so this bounds the
+#: path's transient memory.  At nodal n≈200 it holds 55–125 points, so a
+#: typical interpolation sweep (~150 points) runs in two or three chunks
+#: while a post-layout reference adds only a few MiB to the process.
+_SPARSE_CHUNK_BYTES = 5 * 1024 * 1024
 
 #: Failure modes of the resilient solve entry points: ``"raise"`` aborts on
 #: the first unrecoverable point (the legacy behavior when no policy is
@@ -82,7 +93,8 @@ class SweepEngine:
         Full (pivot-searching) factorizations performed; the dense path
         counts one per sweep point.
     refactorization_count:
-        Structure-reusing numeric refactorizations (sparse path only).
+        Sweep points served by the compiled refactorization (sparse path
+        only).
     dense_cutoff:
         The dense/sparse dispatch cutoff, snapshotted at construction
         (``REPRO_DENSE_CUTOFF`` is read once per engine, so one engine never
@@ -114,6 +126,7 @@ class SweepEngine:
         self.last_report = None
         self._sparse_pattern = None
         self._column_order = None
+        self._refactor_plan = None
 
     @property
     def dimension(self):
@@ -173,34 +186,68 @@ class SweepEngine:
             yield start, factorization
 
     def sparse_factors(self, s, conductance_scale=1.0, frequency_scale=1.0):
-        """Yield ``(k, LUFactorization)`` per sweep point.
+        """Yield ``(start, factors)`` chunks covering the sweep.
 
-        The union sparsity structure comes from the formulation's cache; the
-        pivot order found at the first point — along the engine's
-        fill-reducing :meth:`column_order` — is replayed everywhere else via
-        numeric refactorization, with a fresh ordered search as fallback.
+        Like :meth:`dense_chunks`: each chunk factors ``factors.batch``
+        consecutive points and offers batched ``solve`` /
+        ``solve_matrix`` / ``determinants_mantissa_exponent`` plus scalar
+        ``member`` views.  The values ``g·G + s_k·f·C`` are filled straight
+        from the formulation's merged structure.
         """
         keys, constant_values, dynamic_values = (
             self.formulation.merged_sparse_structure())
-        n = self.formulation.dimension
-        order = self.column_order()
         base = (constant_values if conductance_scale == 1.0
                 else conductance_scale * constant_values)
-        for k, point in enumerate(s):
-            factor = complex(point)
-            if frequency_scale != 1.0:
-                factor = factor * frequency_scale
-            values = base + factor * dynamic_values
-            matrix = SparseMatrix.from_entries(n, n,
-                                               zip(keys, values.tolist()))
-            factorization, self._sparse_pattern, refactored = (
-                sparse_lu_reusing(matrix, self._sparse_pattern,
-                                  column_order=order))
-            if refactored:
-                self.refactorization_count += 1
-            else:
+        yield from self._sparse_chunks(
+            keys, base, dynamic_values, _frequency_factors(s, frequency_scale))
+
+    def _sparse_chunks(self, keys, base, dynamic, factors):
+        """Factor ``base + factors[k]·dynamic`` for every ``k``, in chunks.
+
+        Without a pivot pattern (the engine's first point, or the point
+        after a degraded one) the ordered pivot search runs on one point and
+        its scalar factorization serves that point.  Otherwise the
+        pattern's compiled schedule factors a chunk of points at once; the
+        healthy members before the first degraded one are yielded and the
+        pattern is dropped, so the degraded point gets the pivot search —
+        the rule of the per-point :func:`~repro.linalg.lu.sparse_lu_reusing`.
+        """
+        n = self.formulation.dimension
+        order = self.column_order()
+        start = 0
+        while start < len(factors):
+            if self._sparse_pattern is None:
+                values = base + factors[start] * dynamic
+                matrix = SparseMatrix.from_entries(n, n,
+                                                   zip(keys, values.tolist()))
+                factorization, self._sparse_pattern, __ = sparse_lu_reusing(
+                    matrix, None, column_order=order)
                 self.factorization_count += 1
-            yield k, factorization
+                yield start, _PivotSearchPoint(factorization)
+                start += 1
+                continue
+            schedule, slots = self._schedule(keys)
+            block = factors[start:start + schedule.chunk_members(
+                _SPARSE_CHUNK_BYTES)]
+            chunk = schedule.factor(base + block[:, None] * dynamic, slots)
+            healthy = chunk.healthy_prefix()
+            if healthy < len(block):
+                chunk = chunk.head(healthy)
+                self._sparse_pattern = None
+            if healthy:
+                self.refactorization_count += healthy
+                yield start, chunk
+                start += healthy
+            # Hold no chunk while the next one is factored.
+            del chunk
+
+    def _schedule(self, keys):
+        """The pattern's compiled schedule and the slots of ``keys`` in it."""
+        pattern = self._sparse_pattern
+        if self._refactor_plan is None or self._refactor_plan[0] is not pattern:
+            schedule = pattern.refactor_schedule(keys)
+            self._refactor_plan = (pattern, schedule, schedule.slots_of(keys))
+        return self._refactor_plan[1:]
 
     # ------------------------------------------------------------------ #
     # whole-sweep conveniences
@@ -234,15 +281,11 @@ class SweepEngine:
             self.last_report = None
             if len(s) == 0:
                 return solutions
-            if self.is_dense:
-                for start, factorization in self.dense_chunks(
-                        s, conductance_scale, frequency_scale):
-                    solutions[start:start + factorization.batch] = (
-                        factorization.solve(rhs))
-            else:
-                for k, factorization in self.sparse_factors(
-                        s, conductance_scale, frequency_scale):
-                    solutions[k] = factorization.solve(rhs)
+            for start, factorization in self._chunks(s, conductance_scale,
+                                                     frequency_scale):
+                solutions[start:start + factorization.batch] = (
+                    factorization.solve(rhs))
+                del factorization
             return solutions
 
         policy = policy or SolvePolicy()
@@ -338,8 +381,8 @@ class SweepEngine:
         sweep never materializes the full ``M × K`` stack.  Dense systems
         group as many whole samples per chunk as the budget allows and split
         the *frequency* axis once a single sample's sweep exceeds it; sparse
-        systems stream per sample / per point through the engine's ordered
-        pivot pattern.
+        systems stream per sample, in refactorization chunks along the
+        engine's pivot pattern.
         """
         s = np.asarray(s, dtype=complex)
         scales = np.asarray(admittance_scales)
@@ -400,25 +443,15 @@ class SweepEngine:
         # Sparse path: affine update of the merged-structure values, pivot
         # pattern shared across the whole ensemble.
         keys, __, __ = self.formulation.merged_sparse_structure()
-        order = self.column_order()
+        factors = _frequency_factors(s, frequency_scale)
         for sample, constant_sample, dynamic_sample in (
                 self._sparse_param_samples(names, scales, conductance_scale)):
             solutions = np.empty((len(s), n), dtype=complex)
-            for k, point in enumerate(s):
-                factor = complex(point)
-                if frequency_scale != 1.0:
-                    factor = factor * frequency_scale
-                values = constant_sample + factor * dynamic_sample
-                matrix = SparseMatrix.from_entries(
-                    n, n, zip(keys, values.tolist()))
-                factorization, self._sparse_pattern, refactored = (
-                    sparse_lu_reusing(matrix, self._sparse_pattern,
-                                      column_order=order))
-                if refactored:
-                    self.refactorization_count += 1
-                else:
-                    self.factorization_count += 1
-                solutions[k] = factorization.solve(rhs)
+            for start, factorization in self._sparse_chunks(
+                    keys, constant_sample, dynamic_sample, factors):
+                solutions[start:start + factorization.batch] = (
+                    factorization.solve(rhs))
+                del factorization
             yield sample, solutions
 
     def _sparse_param_samples(self, names, scales, conductance_scale):
@@ -577,28 +610,26 @@ class SweepEngine:
                      frequency_scale=1.0) -> "SweepFactors":
         """Factor at every point and *keep* the factors (see :class:`SweepFactors`)."""
         s = np.asarray(list(s), dtype=complex)
-        if self.is_dense:
-            factors = list(self.dense_chunks(s, conductance_scale,
-                                             frequency_scale))
-        else:
-            factors = [factorization for __, factorization
-                       in self.sparse_factors(s, conductance_scale,
-                                              frequency_scale)]
+        factors = list(self._chunks(s, conductance_scale, frequency_scale))
         return SweepFactors(self.formulation, s, self.is_dense, factors)
+
+    def _chunks(self, s, conductance_scale, frequency_scale):
+        """:meth:`dense_chunks` or :meth:`sparse_factors`, as dispatched."""
+        chunks = self.dense_chunks if self.is_dense else self.sparse_factors
+        return chunks(s, conductance_scale, frequency_scale)
 
 
 class SweepFactors:
     """Cached LU factors of ``A(s_k)`` across one whole frequency sweep.
 
     Where :meth:`SweepEngine.solve_sweep` factors, solves once and discards,
-    this object *keeps* the factors — the dense path as chunked
-    :class:`~repro.linalg.dense.BatchedDenseLU` stacks (same chunking as the
-    streaming path, so solutions are bit-identical to it), the sparse path as
-    one :class:`~repro.linalg.lu.LUFactorization` per point sharing the first
-    point's pivot order.  Repeated solves against the same sweep — the
-    baseline plus one solve per screened element in the rank-1 sensitivity
-    engine — then cost O(n²) per right-hand side instead of an O(n³)
-    refactorization.
+    this object *keeps* the factors: the chunks of the streaming path
+    (:class:`~repro.linalg.dense.BatchedDenseLU` stacks, or
+    :class:`~repro.linalg.lu.BatchedSparseLU` refactorizations plus the
+    pivot-search points), so solutions are bit-identical to it.  Repeated
+    solves against the same sweep — the baseline plus one solve per screened
+    element in the rank-1 sensitivity engine — then cost O(n²) per
+    right-hand side instead of an O(n³) refactorization.
 
     Build via :meth:`SweepEngine.factor_sweep` (or the
     :func:`repro.mna.solve.ac_factor_sweep` adapter).
@@ -608,8 +639,7 @@ class SweepFactors:
         self.formulation = formulation
         self.s_values = s_values
         self.is_dense = is_dense
-        #: Dense path: list of ``(start_index, BatchedDenseLU)`` chunks;
-        #: sparse path: one LUFactorization per sweep point.
+        #: ``(start_index, chunk)`` pairs covering the sweep in order.
         self.factors = factors
 
     @property
@@ -627,13 +657,9 @@ class SweepFactors:
         rhs = np.asarray(rhs, dtype=complex)
         solutions = np.zeros((len(self.s_values), self.dimension),
                              dtype=complex)
-        if self.is_dense:
-            for start, factorization in self.factors:
-                solutions[start:start + factorization.batch] = (
-                    factorization.solve(rhs))
-        else:
-            for k, factorization in enumerate(self.factors):
-                solutions[k] = factorization.solve(rhs)
+        for start, factorization in self.factors:
+            solutions[start:start + factorization.batch] = (
+                factorization.solve(rhs))
         return solutions
 
     def solve_columns(self, columns) -> np.ndarray:
@@ -651,13 +677,9 @@ class SweepFactors:
         solutions = np.zeros(
             (len(self.s_values), self.dimension, columns.shape[1]),
             dtype=complex)
-        if self.is_dense:
-            for start, factorization in self.factors:
-                solutions[start:start + factorization.batch] = (
-                    factorization.solve_matrix(columns))
-        else:
-            for k, factorization in enumerate(self.factors):
-                solutions[k] = factorization.solve_many(columns)
+        for start, factorization in self.factors:
+            solutions[start:start + factorization.batch] = (
+                factorization.solve_matrix(columns))
         return solutions
 
     def members(self):
@@ -666,18 +688,56 @@ class SweepFactors:
         Dense chunks are exposed through
         :meth:`~repro.linalg.dense.BatchedDenseLU.member` views, whose
         determinant / substitution arithmetic is bit-for-bit the per-point
-        :func:`~repro.linalg.dense.dense_lu` path — this is what keeps the
-        interpolation samples identical between batched and per-point
-        evaluation.
+        :func:`~repro.linalg.dense.dense_lu` path; sparse ones through
+        :meth:`~repro.linalg.lu.BatchedSparseLU.member` views, bit-for-bit
+        the chunk's own arithmetic.
         """
-        if self.is_dense:
-            for __, factorization in self.factors:
-                for index in range(factorization.batch):
-                    yield factorization.member(index)
-        else:
-            yield from self.factors
+        for __, factorization in self.factors:
+            for index in range(factorization.batch):
+                yield factorization.member(index)
 
     def __repr__(self):
         kind = "dense" if self.is_dense else "sparse"
         return (f"SweepFactors(n={self.dimension}, points={self.num_points}, "
                 f"path={kind!r})")
+
+
+def _frequency_factors(s, frequency_scale):
+    """``s_k·f`` for every sweep point (``s`` itself when ``f`` is 1)."""
+    s = np.asarray(s, dtype=complex)
+    return s if frequency_scale == 1.0 else s * frequency_scale
+
+
+class _PivotSearchPoint:
+    """A one-point chunk served by the scalar factorization of a pivot search.
+
+    Gives a fresh :class:`~repro.linalg.lu.LUFactorization` the chunk
+    interface of :class:`~repro.linalg.lu.BatchedSparseLU`, computing
+    through its own scalar ``determinant_mantissa_exponent`` and ``solve``.
+    """
+
+    batch = 1
+
+    def __init__(self, factorization):
+        self.factorization = factorization
+
+    @property
+    def nbytes(self):
+        return self.factorization.nbytes
+
+    def member(self, index):
+        return self.factorization
+
+    def determinants_mantissa_exponent(self):
+        mantissa, exponent = self.factorization.determinant_mantissa_exponent()
+        return np.array([mantissa]), np.array([exponent], dtype=np.int64)
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs, dtype=complex)
+        return self.factorization.solve(rhs if rhs.ndim == 1
+                                        else rhs[0])[None, :]
+
+    def solve_matrix(self, rhs_matrix):
+        rhs_matrix = np.asarray(rhs_matrix, dtype=complex)
+        return self.factorization.solve_many(
+            rhs_matrix if rhs_matrix.ndim == 2 else rhs_matrix[0])[None]

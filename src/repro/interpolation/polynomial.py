@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import InterpolationError
-from ..xfloat import XFloat
+from ..xfloat import XFloat, decimal_complex
 
 __all__ = ["Polynomial"]
 
@@ -214,15 +214,9 @@ class Polynomial:
         return mantissas.reshape(shape), exponents.reshape(shape)
 
     def evaluate_complex(self, s) -> complex:
-        """Evaluate as a plain complex number (may overflow / underflow)."""
-        mantissa, exponent = self.evaluate(s)
-        if mantissa == 0:
-            return 0.0 + 0.0j
-        if exponent > 300:
-            return mantissa * math.inf
-        if exponent < -300:
-            return 0.0 + 0.0j
-        return mantissa * 10.0**exponent
+        """Evaluate as a plain complex number (see
+        :func:`~repro.xfloat.decimal_complex`)."""
+        return decimal_complex(*self.evaluate(s))
 
     def log10_magnitude(self, s) -> float:
         """``log10 |P(s)|`` (``-inf`` when the value is zero)."""

@@ -14,14 +14,13 @@ order), so a batched sweep reproduces the per-point results to rounding.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Tuple
 
 import numpy as np
 
 from ..errors import LinAlgError, SingularMatrixError
-from ..xfloat import XFloat
+from ..xfloat import TrackedDeterminant
 
 __all__ = ["dense_lu", "DenseLU", "batched_dense_lu", "BatchedDenseLU",
            "batched_solve", "sweep_chunk_size"]
@@ -47,7 +46,7 @@ _POW10 = np.array([10.0**e if e <= 308 else math.inf
                    for e in range(-_POW10_OFFSET, _POW10_OFFSET + 1)])
 
 
-class DenseLU:
+class DenseLU(TrackedDeterminant):
     """Result of :func:`dense_lu`: packed LU factors plus the row permutation."""
 
     def __init__(self, lu, permutation, n_swaps):
@@ -70,31 +69,6 @@ class DenseLU:
                 mantissa /= 10.0**shift
                 exponent += shift
         return mantissa, exponent
-
-    def determinant(self) -> complex:
-        """``det(A)`` as a plain complex (may overflow / underflow)."""
-        mantissa, exponent = self.determinant_mantissa_exponent()
-        if mantissa == 0:
-            return 0.0 + 0.0j
-        if exponent > 300:
-            return mantissa * cmath.inf
-        if exponent < -300:
-            return 0.0 + 0.0j
-        return mantissa * 10.0**exponent
-
-    def determinant_xfloat(self) -> Tuple[XFloat, float]:
-        """``|det(A)|`` as :class:`XFloat` plus the phase in radians."""
-        mantissa, exponent = self.determinant_mantissa_exponent()
-        if mantissa == 0:
-            return XFloat.zero(), 0.0
-        return XFloat(abs(mantissa), exponent), cmath.phase(mantissa)
-
-    def log10_determinant_magnitude(self) -> float:
-        """``log10 |det(A)|`` (``-inf`` when singular)."""
-        mantissa, exponent = self.determinant_mantissa_exponent()
-        if mantissa == 0:
-            return -math.inf
-        return math.log10(abs(mantissa)) + exponent
 
     def solve(self, rhs):
         """Solve ``A x = b``."""

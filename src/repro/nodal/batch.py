@@ -12,10 +12,10 @@ shared sweep engine (:class:`~repro.engine.sweep.SweepEngine`):
   cached sparsity structure above it),
 * dense systems are factored with :func:`~repro.linalg.dense.batched_dense_lu`
   — one elimination loop vectorized over the whole stack of sweep points,
-* sparse systems run the Markowitz pivot search once and replay the pivot
-  order at every other point via numeric refactorization, falling back to a
-  fresh factorization only when a reused pivot becomes numerically
-  unacceptable,
+* sparse systems run the ordered pivot search once and replay its compiled
+  pivot order on chunks of sweep points, with one vectorized determinant and
+  one vectorized solve per chunk, falling back to a fresh factorization only
+  when a reused pivot becomes numerically unacceptable,
 * right-hand sides and output voltages are evaluated as numpy batches.
 
 What stays here is the *sampling* semantics of Eqs. (7)–(10): determinant
@@ -125,7 +125,29 @@ class BatchSampler:
         if self._engine.is_dense:
             return self._sample_batch_dense(s, conductance_scale,
                                             frequency_scale)
-        return self._sample_batch_sparse(s, conductance_scale, frequency_scale)
+        forced = self._forced_transfer()
+        if forced is None:
+            rhs_stack = self.formulation.rhs_batch(s, conductance_scale,
+                                                   frequency_scale)
+        samples = []
+        for start, factors in self._engine.sparse_factors(
+                s, conductance_scale, frequency_scale):
+            stop = start + factors.batch
+            mantissas, exponents = factors.determinants_mantissa_exponent()
+            if forced is None:
+                transfers = [self.formulation.output_voltage(solution)
+                             for solution in factors.solve(
+                                 rhs_stack[start:stop])]
+            else:
+                transfers = [forced] * factors.batch
+            # Release the chunk before the engine factors the next one.
+            del factors
+            for point, mantissa, exponent, transfer in zip(
+                    s[start:stop], mantissas.tolist(), exponents.tolist(),
+                    transfers):
+                samples.append(self._make_sample(point, (mantissa, exponent),
+                                                 transfer=transfer))
+        return samples
 
     def transfer_values(self, points) -> np.ndarray:
         """``H(s_k)`` for every point, as a complex array in input order."""
@@ -174,38 +196,14 @@ class BatchSampler:
             np.zeros(self.formulation.dimension, dtype=complex))
 
     # ------------------------------------------------------------------ #
-    # sparse path: factor once, refactor everywhere else
-    # ------------------------------------------------------------------ #
 
-    def _sample_batch_sparse(self, s, conductance_scale, frequency_scale):
-        formulation = self.formulation
-        forced = self._forced_transfer()
-        rhs_stack = None
-        if forced is None:
-            rhs_stack = formulation.rhs_batch(s, conductance_scale,
-                                              frequency_scale)
-        samples = []
-        for k, factorization in self._engine.sparse_factors(
-                s, conductance_scale, frequency_scale):
-            det = factorization.determinant_mantissa_exponent()
-            if forced is None:
-                samples.append(self._make_sample(s[k], det,
-                                                 solve=factorization.solve,
-                                                 rhs=rhs_stack[k]))
-            else:
-                samples.append(self._make_sample(s[k], det, transfer=forced))
-        return samples
-
-    # ------------------------------------------------------------------ #
-
-    def _make_sample(self, point, det, transfer=None, solve=None, rhs=None,
+    def _make_sample(self, point, det, transfer=None, solve=None,
                      conductance_scale=1.0, frequency_scale=1.0):
         """One :class:`SampleValue` from a determinant plus transfer source.
 
-        Either ``transfer`` is the (forced) output voltage directly, or
-        ``solve`` is a per-point solver applied to ``rhs`` (assembled on
-        demand from the scales when not supplied) — the right-hand side is
-        only built once the determinant is known to be non-zero, matching
+        Either ``transfer`` is the output voltage directly, or ``solve`` is
+        a per-point solver applied to the right-hand side assembled from the
+        scales — only once the determinant is known to be non-zero, matching
         the per-point sampler's short-circuit.
         """
         det_mantissa, det_exponent = det
@@ -213,9 +211,8 @@ class BatchSampler:
             return SampleValue(s=complex(point), numerator=(0.0 + 0.0j, 0),
                                denominator=(0.0 + 0.0j, 0))
         if transfer is None:
-            if rhs is None:
-                rhs = self.formulation.rhs(point, conductance_scale,
-                                           frequency_scale)
+            rhs = self.formulation.rhs(point, conductance_scale,
+                                       frequency_scale)
             transfer = self.formulation.output_voltage(solve(rhs))
         return SampleValue(
             s=complex(point),

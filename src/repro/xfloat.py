@@ -20,10 +20,14 @@ division, addition, powers, comparisons, ``abs``, ``log10``) and converts to
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Union
 
-__all__ = ["XFloat", "xfloat", "log10_abs"]
+import numpy as np
+
+__all__ = ["XFloat", "xfloat", "log10_abs", "decimal_complex",
+           "TrackedDeterminant"]
 
 Number = Union[int, float, "XFloat"]
 
@@ -356,3 +360,66 @@ def log10_abs(value):
     if value == 0.0:
         return -math.inf
     return math.log10(abs(value))
+
+
+#: Largest decimal exponent :func:`decimal_complex` applies; beyond it every
+#: non-zero double overflows (or underflows) anyway.  Each of the two halves
+#: it is split into stays a finite power of ten.
+_TWO_STEP_EXPONENT = 2 * 308
+
+
+def decimal_complex(mantissa, exponent):
+    """``mantissa · 10**exponent`` as a plain complex number (or array).
+
+    The one conversion from the library's ``(complex mantissa, decimal
+    exponent)`` pairs — determinants, polynomial values — to complex values.
+    The power of ten is applied to each component in two halves, so a value
+    inside the double range comes out finite even where ``10**exponent``
+    alone is not (``5e305``, ``3e-305``).  Beyond the range a non-zero
+    component overflows to a signed infinity while a zero component stays
+    zero, so the result is complex infinity in the mantissa's direction,
+    never ``nan``; values below the range underflow to zero.
+
+    ``mantissa`` and ``exponent`` are scalars (a ``complex`` is returned) or
+    broadcastable arrays (a complex array is returned).
+    """
+    mantissa = np.asarray(mantissa, dtype=complex)
+    exponent = np.clip(np.asarray(exponent, dtype=np.int64),
+                       -_TWO_STEP_EXPONENT, _TWO_STEP_EXPONENT)
+    half = exponent // 2
+    first = 10.0 ** half.astype(float)
+    second = 10.0 ** (exponent - half).astype(float)
+    with np.errstate(over="ignore", under="ignore"):
+        real = mantissa.real * first * second
+        imag = mantissa.imag * first * second
+    value = np.empty(np.shape(real), dtype=complex)
+    value.real = real
+    value.imag = imag
+    return complex(value) if value.ndim == 0 else value
+
+
+class TrackedDeterminant:
+    """Determinant queries of a factorization that tracks ``det(A)`` as
+    ``(mantissa, exponent)``.
+
+    Subclasses provide ``determinant_mantissa_exponent()``; the mantissa is
+    complex with magnitude in ``[1, 10)``, or exactly zero.
+    """
+
+    def determinant(self) -> complex:
+        """``det(A)`` as a plain complex (see :func:`decimal_complex`)."""
+        return decimal_complex(*self.determinant_mantissa_exponent())
+
+    def determinant_xfloat(self):
+        """``|det(A)|`` as an :class:`XFloat` plus the phase in radians."""
+        mantissa, exponent = self.determinant_mantissa_exponent()
+        if mantissa == 0:
+            return XFloat.zero(), 0.0
+        return XFloat(abs(mantissa), exponent), cmath.phase(mantissa)
+
+    def log10_determinant_magnitude(self) -> float:
+        """``log10 |det(A)|`` (``-inf`` for a singular matrix)."""
+        mantissa, exponent = self.determinant_mantissa_exponent()
+        if mantissa == 0:
+            return -math.inf
+        return math.log10(abs(mantissa)) + exponent

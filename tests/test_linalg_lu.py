@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LinAlgError, SingularMatrixError
+from repro.interpolation.polynomial import Polynomial
 from repro.linalg.dense import dense_lu
 from repro.linalg.det import determinant, log10_determinant, solve_linear_system
 from repro.linalg.lu import sparse_lu
 from repro.linalg.sparse import SparseMatrix
+from repro.xfloat import XFloat, decimal_complex
 
 
 def random_complex_matrix(rng, n, density=1.0):
@@ -44,6 +46,7 @@ class TestDenseLU:
             expected = np.linalg.det(dense)
             assert mantissa * 10.0**exponent == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_determinant_exponent_tracking_beyond_double_range(self):
         n = 40
         dense = np.diag(np.full(n, 1e12))
@@ -174,3 +177,50 @@ class TestDetHelpers:
     def test_unknown_method(self):
         with pytest.raises(LinAlgError):
             determinant(np.eye(2), method="quantum")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDeterminantRange:
+    """``(mantissa, exponent) → complex`` is finite wherever a double is."""
+
+    def _factorizations(self, diagonal):
+        dense = np.diag(np.asarray(diagonal, dtype=complex))
+        sparse = sparse_lu(SparseMatrix.from_dense(dense))
+        schedule = sparse.refactor_schedule([(0, 0), (1, 1)])
+        batched = schedule.factor(np.diag(dense)[None, :],
+                                  schedule.slots_of([(0, 0), (1, 1)]))
+        return dense_lu(dense), sparse, batched.member(0), batched
+
+    @pytest.mark.parametrize("diagonal,expected", [
+        ((5e152, 1e153), 5e305), ((3e-152, 1e-153), 3e-305)])
+    def test_near_the_double_limits(self, diagonal, expected):
+        *scalars, batched = self._factorizations(diagonal)
+        values = [factorization.determinant() for factorization in scalars]
+        values.append(complex(batched.determinants()[0]))
+        for value in values:
+            assert value == pytest.approx(expected, rel=1e-12)
+            assert value.imag == 0.0
+        mantissa, exponent = scalars[0].determinant_mantissa_exponent()
+        assert Polynomial([XFloat(mantissa.real, exponent)]).evaluate_complex(
+            0.0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("diagonal,phase", [
+        ((1e200, 1e200), 0.0), ((-1e200, 1e200), math.pi),
+        ((1e200j, 1e200), math.pi / 2)])
+    def test_overflow_keeps_the_phase(self, diagonal, phase):
+        *scalars, batched = self._factorizations(diagonal)
+        values = [factorization.determinant() for factorization in scalars]
+        values.append(complex(batched.determinants()[0]))
+        for value in values:
+            assert math.isinf(abs(value)) and not math.isnan(value.real)
+            assert not math.isnan(value.imag)
+            assert np.angle(value) == pytest.approx(phase)
+
+    def test_helper_on_arrays_and_underflow(self):
+        values = decimal_complex(np.array([5.0, 3.0, 2.0, 0.0]),
+                                 np.array([305, -305, -400, 900]))
+        assert values[0] == pytest.approx(5e305, rel=1e-12)
+        assert values[1] == pytest.approx(3e-305, rel=1e-12)
+        assert values[2] == 0 and values[3] == 0
+        assert decimal_complex(2.5 - 1j, 3) == pytest.approx(2500 - 1000j)
+        assert decimal_complex(0j, 0) == 0
