@@ -309,24 +309,16 @@ def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
     """
     if space is None:
         space = ParameterSpace(circuit, tolerances)
-    if not store_responses:
-        return _monte_carlo(circuit, output, frequencies, space, samples,
-                            seed, solver, method, workers, session=session,
-                            on_failure=on_failure, policy=policy,
-                            processes=processes, store_responses=False,
-                            shard_size=shard_size)
-    if processes is not None and processes != 1:
-        return _monte_carlo(circuit, output, frequencies, space, samples,
-                            seed, solver, method, workers, session=session,
-                            on_failure=on_failure, policy=policy,
-                            processes=processes)
-    if session is not None and on_failure == "raise" and policy is None:
+    if (session is not None and on_failure == "raise" and policy is None
+            and store_responses and processes in (None, 1)):
         return session.montecarlo(circuit, output, frequencies, space,
                                   samples=samples, seed=seed, solver=solver,
                                   method=method, workers=workers)
     return _monte_carlo(circuit, output, frequencies, space, samples, seed,
                         solver, method, workers, session=session,
-                        on_failure=on_failure, policy=policy)
+                        on_failure=on_failure, policy=policy,
+                        processes=processes, store_responses=store_responses,
+                        shard_size=shard_size)
 
 
 def _monte_carlo(circuit, output, frequencies, space, samples, seed, solver,
@@ -335,23 +327,21 @@ def _monte_carlo(circuit, output, frequencies, space, samples, seed, solver,
                  shard_size=1024) -> MonteCarloResult:
     """The analysis itself (no memoization) — session feeds the nominal sweep."""
     frequencies = np.asarray(frequencies, dtype=float)
-    if processes is not None and processes != 1:
-        from ..montecarlo.parallel import parallel_ensemble_sweep
-
-        extra = ({"store_responses": False, "shard_size": shard_size}
-                 if not store_responses else {})
-        ensemble = parallel_ensemble_sweep(
-            circuit, output, frequencies, space, samples=samples, seed=seed,
-            solver=solver, method=method, workers=processes,
-            on_failure=on_failure, policy=policy, **extra)
-    else:
-        extra = ({"store_responses": False, "shard_size": shard_size}
-                 if not store_responses else {})
+    streaming = ({} if store_responses
+                 else {"store_responses": False, "shard_size": shard_size})
+    if processes in (None, 1):
         ensemble = ensemble_sweep(circuit, output, frequencies, space,
                                   samples=samples, seed=seed, solver=solver,
                                   method=method, workers=workers,
                                   on_failure=on_failure, policy=policy,
-                                  **extra)
+                                  **streaming)
+    else:
+        from ..montecarlo.parallel import parallel_ensemble_sweep
+
+        ensemble = parallel_ensemble_sweep(
+            circuit, output, frequencies, space, samples=samples, seed=seed,
+            solver=solver, method=method, workers=processes,
+            on_failure=on_failure, policy=policy, **streaming)
     nominal = ACAnalysis(circuit, output, method=method,
                          session=session).frequency_response(frequencies)
     return MonteCarloResult(ensemble=ensemble, nominal_response=nominal,

@@ -40,10 +40,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine.resilience import (SweepReport, merge_shard_report,
-                                 report_from_json, report_to_json)
+from ..engine.resilience import (SweepReport, report_from_json,
+                                 report_to_json)
 from ..errors import CheckpointError
-from .engine import EnsembleResult, _normalize_output, ensemble_sweep
+from .engine import EnsembleResult, _EnsembleFold
 from .space import ParameterSpace
 # EnsembleStatistics grew histogram / weight extensions and moved to
 # repro.montecarlo.statistics with the other streaming estimators; this
@@ -86,14 +86,6 @@ def _space_key_digest(space) -> str:
     digest = hashlib.sha256()
     digest.update(repr(space.key()).encode("utf-8"))
     return digest.hexdigest()
-
-
-# _report_to_json / _report_from_json / _merge_shard_report moved to
-# repro.engine.resilience (report_to_json & friends) so the multiprocess
-# driver can share them; these aliases keep intra-package callers working.
-_report_to_json = report_to_json
-_report_from_json = report_from_json
-_merge_shard_report = merge_shard_report
 
 
 def _save_checkpoint(path, *, fingerprint, space_digest, seed, samples,
@@ -142,7 +134,7 @@ def _save_checkpoint(path, *, fingerprint, space_digest, seed, samples,
             stats_histogram_high_db=np.array(
                 float(statistics.histogram_high_db)),
             stats_histogram=histogram,
-            report_json=np.array(_report_to_json(report)),
+            report_json=np.array(report_to_json(report)),
         )
     os.replace(temporary, path)
 
@@ -248,7 +240,7 @@ def checkpoint_info(path) -> dict:
     ``samples``, seed, solver, and the quarantine summary so far.
     """
     state = _load_checkpoint(path)
-    report = _report_from_json(state["report_json"])
+    report = report_from_json(state["report_json"])
     return {
         "version": state["version"],
         "fingerprint": state["fingerprint"],
@@ -306,13 +298,14 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
         default to ``"quarantine"`` so one bad sample cannot waste hours of
         completed work.
     workers, supervisor:
-        ``workers`` other than ``None`` / ``1`` runs the remaining shards
-        through the supervised multiprocess driver
-        (:func:`~repro.montecarlo.parallel.run_shards`, configured by the
-        optional :class:`~repro.montecarlo.parallel.SupervisorConfig`).
-        Shards complete out of order, but the checkpoint only ever absorbs
-        the contiguous prefix — in fixed shard order — so the file on disk
-        is at all times bit-identical to one a sequential run would have
+        The remaining shards run through
+        :func:`~repro.montecarlo.parallel.run_shards`: in-process on the
+        engine's default thread count for ``workers`` ``None`` / ``1``, in
+        supervised worker processes otherwise (configured by the optional
+        :class:`~repro.montecarlo.parallel.SupervisorConfig`).  Shards
+        complete out of order, but the checkpoint only ever absorbs the
+        contiguous prefix — in fixed shard order — so the file on disk is
+        at all times bit-identical to one a sequential run would have
         written, and a killed *supervisor* resumes bit-identically with
         any worker count.
     store_responses, histogram_bins, histogram_range:
@@ -332,6 +325,7 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
     CheckpointedRun
     """
     from ..engine.session import AnalysisSession
+    from .parallel import run_shards, shard_plan
 
     if space is None:
         space = ParameterSpace(circuit, tolerances)
@@ -343,26 +337,14 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
     fingerprint = AnalysisSession.fingerprint(circuit)
     space_digest = _space_key_digest(space)
     values = space.sample_values(samples, seed)
-
     store_responses = bool(store_responses)
-    from .statistics import DEFAULT_HISTOGRAM_BINS, DEFAULT_HISTOGRAM_RANGE
-    if histogram_bins is None:
-        bins = 0 if store_responses else DEFAULT_HISTOGRAM_BINS
-    else:
-        bins = int(histogram_bins)
-    low, high = histogram_range or DEFAULT_HISTOGRAM_RANGE
-
-    responses = np.zeros((samples if store_responses else 0,
-                          len(frequencies)), dtype=complex)
-    statistics = EnsembleStatistics(frequencies=frequencies,
-                                    histogram_bins=bins,
-                                    histogram_low_db=float(low),
-                                    histogram_high_db=float(high))
-    resilient = on_failure == "quarantine" or policy is not None
-    report = (SweepReport(label="ensemble member", kind="sample", total=0)
-              if resilient else None)
-    completed = 0
-    solver_used = solver
+    fold = _EnsembleFold(
+        frequencies, samples, solver=solver, store_responses=store_responses,
+        resilient=on_failure == "quarantine" or policy is not None,
+        histogram_bins=histogram_bins, histogram_range=histogram_range)
+    bins = fold.statistics.histogram_bins
+    low = fold.statistics.histogram_low_db
+    high = fold.statistics.histogram_high_db
 
     if os.path.exists(path):
         state = _load_checkpoint(path)
@@ -377,8 +359,8 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
                     "store_responses": store_responses,
                     "stats_histogram_bins": bins}
         if bins:
-            expected["stats_histogram_low_db"] = float(low)
-            expected["stats_histogram_high_db"] = float(high)
+            expected["stats_histogram_low_db"] = low
+            expected["stats_histogram_high_db"] = high
         for field, value in expected.items():
             if state[field] != value:
                 raise CheckpointError(
@@ -388,118 +370,53 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
             raise CheckpointError(
                 f"checkpoint {path!r} belongs to a different run: "
                 "frequency grids differ")
-        completed = state["completed"]
+        fold.completed = state["completed"]
         if store_responses:
-            responses[:completed] = state["responses"]
-        statistics = EnsembleStatistics(
+            fold.responses[:fold.completed] = state["responses"]
+        fold.statistics = EnsembleStatistics(
             frequencies=frequencies, count=state["stats_count"],
             sum_db=state["stats_sum_db"], sumsq_db=state["stats_sumsq_db"],
             min_db=state["stats_min_db"], max_db=state["stats_max_db"],
             weight_sum=state["stats_weight_sum"],
             weight_sumsq=state["stats_weight_sumsq"],
             max_weight=state["stats_max_weight"],
-            histogram_bins=bins, histogram_low_db=float(low),
-            histogram_high_db=float(high),
+            histogram_bins=bins, histogram_low_db=low,
+            histogram_high_db=high,
             histogram=(state["stats_histogram"] if bins else None))
-        report = _report_from_json(state["report_json"])
-        solver_used = state["solver_used"]
-    resumed_from = completed
+        fold.report = report_from_json(state["report_json"])
+        fold.solver = state["solver_used"]
+    resumed_from = fold.completed
 
-    def fold_and_save(shard_view, start, stop):
-        """Absorb one completed shard (in order) and persist the state."""
-        nonlocal completed, solver_used
-        if store_responses:
-            responses[start:stop] = shard_view.responses
-            surviving = shard_view.surviving_mask()
-            statistics.update(shard_view.magnitudes_db()[surviving])
-        else:
-            # The shard ran in streaming mode itself; merging its
-            # zero-initialized accumulator replays the identical addition
-            # sequence a stored-mode update would have (0.0 + x == x).
-            statistics.merge(shard_view.statistics)
-        if report is not None and shard_view.report is not None:
-            _merge_shard_report(report, shard_view.report, start)
-        if report is not None:
-            report.total = stop
-        completed = stop
-        solver_used = shard_view.solver
+    def save(*__):
+        """Persist the run state after each shard the fold absorbed."""
         _save_checkpoint(path, fingerprint=fingerprint,
                          space_digest=space_digest, seed=seed,
                          samples=samples, shard_size=shard_size,
-                         solver=solver, solver_used=solver_used,
+                         solver=solver, solver_used=fold.solver,
                          method=method, on_failure=on_failure,
-                         frequencies=frequencies, completed=completed,
-                         responses=responses, statistics=statistics,
-                         report=report, store_responses=store_responses)
+                         frequencies=frequencies, completed=fold.completed,
+                         responses=fold.responses,
+                         statistics=fold.statistics, report=fold.report,
+                         store_responses=store_responses)
 
-    shards_run = 0
-    if workers is None or workers == 1:
-        while completed < samples:
-            if max_shards is not None and shards_run >= max_shards:
-                break
-            start = completed
-            stop = min(start + shard_size, samples)
-            streaming_kwargs = ({} if store_responses else
-                                {"store_responses": False,
-                                 "shard_size": stop - start,
-                                 "histogram_bins": bins,
-                                 "histogram_range": (low, high)})
-            shard = ensemble_sweep(circuit, output, frequencies, space,
-                                   values=values[start:stop], solver=solver,
-                                   method=method, on_failure=on_failure,
-                                   policy=policy, **streaming_kwargs)
-            fold_and_save(shard, start, stop)
-            shards_run += 1
-    else:
-        # Supervised multiprocess execution of the remaining shards.  The
-        # shard plan keeps global sample indices, shards may complete out
-        # of order, and the on_shard_complete hook only ever hands us the
-        # contiguous prefix — so each fold_and_save below replays exactly
-        # the sequence of the sequential branch above.
-        from .parallel import run_shards, shard_plan
+    # The plan keeps global sample indices, and the fold only ever absorbs
+    # the contiguous completed prefix — so the file on disk is at all times
+    # the one an uninterrupted in-process run would have written.
+    plan = shard_plan(samples, shard_size, first_sample=fold.completed)
+    if max_shards is not None:
+        plan = plan[:max(0, int(max_shards))]
+    in_process = workers is None or workers == 1
+    run_shards(circuit, output, frequencies, space, values, plan,
+               solver=solver, method=method, on_failure=on_failure,
+               policy=policy, workers=1 if in_process else workers,
+               config=supervisor, on_shard_complete=save, fold=fold,
+               threads=None if in_process else 1)
 
-        plan = shard_plan(samples, shard_size, first_sample=completed)
-        if max_shards is not None:
-            plan = plan[:max_shards]
-        folded = 0
-        shard_stats = {}
-
-        def absorb_prefix(prefix, shared_responses, shard_reports,
-                          shard_solver):
-            nonlocal folded, shards_run
-            for index in range(folded, prefix):
-                __, start, stop = plan[index]
-                shard_index = plan[index][0]
-                shard_view = EnsembleResult(
-                    frequencies=frequencies, values=values[start:stop],
-                    responses=(np.array(shared_responses[start:stop])
-                               if store_responses else None),
-                    space=space, output=_normalize_output(output),
-                    solver=shard_solver,
-                    report=shard_reports.get(shard_index),
-                    statistics=shard_stats.get(shard_index))
-                fold_and_save(shard_view, start, stop)
-                shards_run += 1
-            folded = prefix
-
-        if plan:
-            run_shards(circuit, output, frequencies, space, values, plan,
-                       solver=solver, method=method, on_failure=on_failure,
-                       policy=policy, workers=workers, config=supervisor,
-                       on_shard_complete=absorb_prefix,
-                       store_responses=store_responses,
-                       histogram_bins=bins, histogram_range=(low, high),
-                       stats_out=shard_stats)
-
-    finished = completed == samples
-    result = CheckpointedRun(finished=finished, completed=completed,
+    finished = fold.completed == samples
+    result = CheckpointedRun(finished=finished, completed=fold.completed,
                              total=samples, resumed_from=resumed_from,
-                             statistics=statistics, report=report, path=path)
+                             statistics=fold.statistics, report=fold.report,
+                             path=path)
     if finished:
-        result.ensemble = EnsembleResult(
-            frequencies=frequencies, values=values,
-            responses=responses if store_responses else None,
-            space=space, output=_normalize_output(output), solver=solver_used,
-            report=report,
-            statistics=None if store_responses else statistics)
+        result.ensemble = fold.result(values, space, output)
     return result

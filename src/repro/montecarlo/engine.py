@@ -23,6 +23,12 @@ benchmarked and parity-checked against: one circuit copy + MNA build + AC
 sweep per sample, through the standard :class:`~repro.analysis.ac.ACAnalysis`
 machinery (``solver="lu"``) or the same LAPACK solver one sample at a time
 (``solver="lapack"``).
+
+:class:`_EnsembleFold` is the one fold of all three ensemble drivers: the
+streaming mode of :func:`ensemble_sweep` and
+:func:`~repro.montecarlo.parallel.run_shards` (under
+``parallel_ensemble_sweep`` and ``checkpointed_ensemble_sweep``) both
+absorb every finished shard through it, in plan order.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ from ..netlist.elements import GROUND
 from ..nodal.reduce import TransferSpec
 from .program import ValueProgram
 from .space import ParameterSpace
+from .statistics import (DEFAULT_HISTOGRAM_BINS, DEFAULT_HISTOGRAM_RANGE,
+                         EnsembleStatistics, StreamingYield)
 
 __all__ = ["EnsembleResult", "ensemble_sweep", "rebuild_sweep"]
 
@@ -393,71 +401,132 @@ def _sparse_ensemble(system, program, s, values, terms, policy=None,
     return responses
 
 
-def _streaming_sweep(circuit, output, frequencies, space, values, *, solver,
-                     method, workers, on_failure, policy, shard_size,
-                     histogram_bins, histogram_range, weights,
-                     yield_specs) -> EnsembleResult:
-    """The ``store_responses=False`` arm: shard, fold, discard.
+def _ensemble_values(space, values, samples, seed, sampler="random"):
+    """The run's ``(M, E)`` value matrix: drawn up front or validated."""
+    if values is None:
+        return space.sample_values(samples, seed, method=sampler)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(space):
+        raise FormulationError(
+            f"values must be (M, {len(space)}), got {values.shape}")
+    return values
 
-    Each shard runs through the stored-mode :func:`ensemble_sweep` (so every
-    solver / resilience path is exactly the production one), its rows are
-    folded into the streaming accumulators, and the ``(shard, F)`` buffer is
-    dropped before the next shard is assembled.  Shard boundaries come from
-    :func:`~repro.montecarlo.parallel.shard_plan` — fixed by ``shard_size``
-    alone — so the accumulator stream is bit-identical to the parallel and
-    checkpointed drivers at the same ``shard_size``.
-    """
-    from .parallel import shard_plan
-    from .statistics import (DEFAULT_HISTOGRAM_BINS, DEFAULT_HISTOGRAM_RANGE,
-                             EnsembleStatistics, StreamingYield)
 
-    num_samples = values.shape[0]
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (num_samples,):
+def _reject_streaming_options(histogram_bins, histogram_range, weights,
+                              yield_specs):
+    """Stored-mode runs take none of the streaming estimator controls."""
+    for name, argument in (("histogram_bins", histogram_bins),
+                           ("histogram_range", histogram_range),
+                           ("weights", weights),
+                           ("yield_specs", yield_specs)):
+        if argument is not None:
             raise FormulationError(
-                f"weights must be ({num_samples},) to match the sample "
-                f"rows, got {weights.shape}")
-    specs = None
-    if yield_specs is not None:
-        from ..analysis.montecarlo import YieldSpec
+                f"{name} requires the streaming mode "
+                "(store_responses=False); a stored-mode run computes these "
+                "through repro.analysis.montecarlo instead")
 
-        specs = ([yield_specs] if isinstance(yield_specs, YieldSpec)
-                 else list(yield_specs))
-    bins = (DEFAULT_HISTOGRAM_BINS if histogram_bins is None
-            else int(histogram_bins))
-    low, high = histogram_range or DEFAULT_HISTOGRAM_RANGE
-    statistics = EnsembleStatistics(
-        frequencies=frequencies, histogram_bins=bins,
-        histogram_low_db=float(low), histogram_high_db=float(high))
-    yields = (StreamingYield([spec.name for spec in specs])
-              if specs else None)
-    resilient = on_failure == "quarantine" or policy is not None
-    merged = (SweepReport(label="ensemble member", kind="sample",
-                          total=num_samples) if resilient else None)
-    solver_used = solver
-    for __, start, stop in shard_plan(num_samples, shard_size):
-        shard_result = ensemble_sweep(
-            circuit, output, frequencies, space, values=values[start:stop],
-            solver=solver, method=method, workers=workers,
-            on_failure=on_failure, policy=policy)
-        surviving = shard_result.surviving_mask()
-        shard_weights = None if weights is None else weights[start:stop]
-        statistics.update(
-            shard_result.magnitudes_db()[surviving],
-            None if shard_weights is None else shard_weights[surviving])
-        if yields is not None:
-            yields.update(frequencies, shard_result.responses, specs,
-                          surviving=surviving, weights=shard_weights)
-        if merged is not None and shard_result.report is not None:
-            merge_shard_report(merged, shard_result.report, start)
-        solver_used = shard_result.solver
-    return EnsembleResult(frequencies=frequencies, values=values,
-                          responses=None, space=space,
-                          output=_normalize_output(output),
-                          solver=solver_used, report=merged,
-                          statistics=statistics, yields=yields,
-                          weights=weights)
+
+class _EnsembleFold:
+    """Absorbs finished shards into one ensemble run, in plan order.
+
+    The one place any ensemble driver folds.  A shard that comes back with
+    its response rows has them copied (when the run stores responses) and
+    its surviving rows go through :meth:`EnsembleStatistics.update` and
+    :meth:`StreamingYield.update` with their weights.  A shard a worker
+    already folded comes back as accumulators, which go through ``merge``.
+    Either way its report is re-based through
+    :func:`~repro.engine.resilience.merge_shard_report`.  A shard
+    accumulator starts from exact zeros, so ``merge`` replays the additions
+    ``update`` would have made, and every driver lands on the same bits at
+    the same ``shard_size``.
+
+    Streaming runs use the default histogram; stored runs keep none unless
+    asked.  ``yield_specs`` (a spec or any iterable of them) is read once
+    here, and :meth:`streaming_options` ships that list to the shards.
+    """
+
+    def __init__(self, frequencies, samples, *, solver, store_responses=True,
+                 resilient=False, histogram_bins=None, histogram_range=None,
+                 weights=None, yield_specs=None):
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != (samples,):
+                raise FormulationError(
+                    f"weights must be ({samples},) to match the sample "
+                    f"rows, got {weights.shape}")
+        if yield_specs is not None:
+            from ..analysis.montecarlo import YieldSpec
+
+            yield_specs = ([yield_specs] if isinstance(yield_specs, YieldSpec)
+                           else list(yield_specs))
+        if histogram_bins is None:
+            histogram_bins = 0 if store_responses else DEFAULT_HISTOGRAM_BINS
+        low, high = histogram_range or DEFAULT_HISTOGRAM_RANGE
+        self.frequencies = frequencies
+        self.weights = weights
+        self.specs = yield_specs
+        self.statistics = EnsembleStatistics(
+            frequencies=frequencies, histogram_bins=int(histogram_bins),
+            histogram_low_db=float(low), histogram_high_db=float(high))
+        self.yields = (StreamingYield([spec.name for spec in yield_specs])
+                       if yield_specs else None)
+        self.responses = (np.zeros((samples, len(frequencies)), dtype=complex)
+                          if store_responses else None)
+        self.report = (SweepReport(label="ensemble member", kind="sample")
+                       if resilient else None)
+        self.completed = 0
+        self.solver = solver
+
+    def streaming_options(self) -> dict:
+        """Keywords that make a shard's :func:`ensemble_sweep` fold itself.
+
+        Empty when the run stores responses: the shard then returns its
+        rows and :meth:`absorb` folds them.
+        """
+        if self.responses is not None:
+            return {}
+        statistics = self.statistics
+        return {"store_responses": False,
+                "histogram_bins": statistics.histogram_bins,
+                "histogram_range": (statistics.histogram_low_db,
+                                    statistics.histogram_high_db),
+                "yield_specs": self.specs}
+
+    def absorb(self, shard, start, stop) -> None:
+        """Fold the finished shard ``start:stop`` (the next in plan order)."""
+        if shard.statistics is not None:
+            self.statistics.merge(shard.statistics)
+            if self.yields is not None:
+                self.yields.merge(shard.yields)
+        else:
+            if self.responses is not None:
+                self.responses[start:stop] = shard.responses
+            surviving = shard.surviving_mask()
+            weights = None if self.weights is None else self.weights[start:stop]
+            self.statistics.update(
+                shard.magnitudes_db()[surviving],
+                None if weights is None else weights[surviving])
+            if self.yields is not None:
+                self.yields.update(self.frequencies, shard.responses,
+                                   self.specs, surviving=surviving,
+                                   weights=weights)
+        if self.report is not None:
+            if shard.report is not None:
+                merge_shard_report(self.report, shard.report, start)
+            self.report.total = stop
+        self.completed = stop
+        self.solver = shard.solver
+
+    def result(self, values, space, output, parallel=None) -> EnsembleResult:
+        """The finished run; a streaming run carries its accumulators."""
+        streaming = self.responses is None
+        return EnsembleResult(
+            frequencies=self.frequencies, values=values,
+            responses=self.responses, space=space,
+            output=_normalize_output(output), solver=self.solver,
+            report=self.report, parallel=parallel,
+            statistics=self.statistics if streaming else None,
+            yields=self.yields, weights=self.weights)
 
 
 def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
@@ -555,33 +624,31 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
         space = ParameterSpace(circuit)
     frequencies = np.asarray(frequencies, dtype=float)
     s = 2j * math.pi * frequencies
-    if values is None:
-        values = space.sample_values(samples, seed)
-    else:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(space):
-            raise FormulationError(
-                f"values must be (M, {len(space)}), got {values.shape}")
+    values = _ensemble_values(space, values, samples, seed)
+    resilient = on_failure == "quarantine" or policy is not None
     if not store_responses:
-        return _streaming_sweep(
-            circuit, output, frequencies, space, values, solver=solver,
-            method=method, workers=workers, on_failure=on_failure,
-            policy=policy, shard_size=shard_size,
+        # Shard, fold, discard: each shard runs through the stored mode
+        # (every solver / resilience path is the production one) and its
+        # (shard, F) rows are dropped before the next shard is assembled.
+        from .parallel import shard_plan
+
+        fold = _EnsembleFold(
+            frequencies, values.shape[0], solver=solver,
+            store_responses=False, resilient=resilient,
             histogram_bins=histogram_bins, histogram_range=histogram_range,
             weights=weights, yield_specs=yield_specs)
-    for name, argument in (("histogram_bins", histogram_bins),
-                           ("histogram_range", histogram_range),
-                           ("weights", weights),
-                           ("yield_specs", yield_specs)):
-        if argument is not None:
-            raise FormulationError(
-                f"{name} requires the streaming mode "
-                "(store_responses=False); a stored-mode run computes these "
-                "through repro.analysis.montecarlo instead")
+        for __, start, stop in shard_plan(values.shape[0], shard_size):
+            fold.absorb(ensemble_sweep(
+                circuit, output, frequencies, space,
+                values=values[start:stop], solver=solver, method=method,
+                workers=workers, on_failure=on_failure, policy=policy),
+                start, stop)
+        return fold.result(values, space, output)
+    _reject_streaming_options(histogram_bins, histogram_range, weights,
+                              yield_specs)
     system = build_mna_system(circuit)
     terms = _output_terms(system, output)
     program = ValueProgram.from_circuit(circuit, space)
-    resilient = on_failure == "quarantine" or policy is not None
     report = None
     if resilient:
         policy = policy or SolvePolicy()

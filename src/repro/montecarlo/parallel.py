@@ -19,9 +19,9 @@ Determinism is structural, not statistical:
 * a re-dispatched shard re-runs the identical computation on identical
   inputs, so retries are invisible in the output;
 * per-shard :class:`~repro.engine.resilience.SweepReport`s and streaming
-  :class:`~repro.montecarlo.checkpoint.EnsembleStatistics` are merged **in
-  fixed shard order** after completion, regardless of which worker finished
-  which shard when.
+  :class:`~repro.montecarlo.statistics.EnsembleStatistics` are folded **in
+  fixed shard order** as each shard joins the contiguous completed prefix,
+  regardless of which worker finished which shard when.
 
 The supervisor distinguishes two failure planes:
 
@@ -64,15 +64,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.resilience import (SweepReport, merge_shard_report,
-                                 merge_telemetry, report_from_json,
-                                 report_to_json, telemetry_snapshot)
+from ..engine.resilience import (SweepReport, merge_telemetry,
+                                 report_from_json, report_to_json,
+                                 telemetry_snapshot)
 from ..errors import (FormulationError, ReproError, ShardFailureError,
                       SingularMatrixError)
-from .engine import EnsembleResult, _normalize_output, ensemble_sweep
+from .engine import (EnsembleResult, _EnsembleFold, _ensemble_values,
+                     _reject_streaming_options, ensemble_sweep)
 from .space import ParameterSpace
-from .statistics import (DEFAULT_HISTOGRAM_BINS, DEFAULT_HISTOGRAM_RANGE,
-                         EnsembleStatistics, StreamingYield)
+from .statistics import EnsembleStatistics
 
 __all__ = ["SupervisorConfig", "ParallelRunInfo", "ShardRun", "shard_plan",
            "run_shards", "parallel_ensemble_sweep"]
@@ -169,12 +169,11 @@ class ParallelRunInfo:
 
 @dataclasses.dataclass
 class ShardRun:
-    """Raw outcome of :func:`run_shards` before merging.
+    """How :func:`run_shards` executed its plan.
 
-    ``responses`` holds every plan row solved (rows outside the plan are
-    untouched) — ``None`` for a streaming (``store_responses=False``) run,
-    whose per-shard accumulators live in ``statistics`` / ``yields``
-    instead; ``reports`` maps shard index → per-shard
+    ``responses`` is the fold's response matrix, every plan row filled
+    (``None`` for a streaming run, whose estimates live in the fold's
+    accumulators); ``reports`` maps shard index → per-shard
     :class:`~repro.engine.resilience.SweepReport` (``None`` on the legacy
     raise path).
     """
@@ -185,10 +184,6 @@ class ShardRun:
     solver_used: str
     redispatches: int
     workers: int
-    statistics: Dict[int, EnsembleStatistics] = dataclasses.field(
-        default_factory=dict)
-    yields: Dict[int, StreamingYield] = dataclasses.field(
-        default_factory=dict)
 
 
 def shard_plan(samples, shard_size, first_sample=0) -> List[Tuple[int, int, int]]:
@@ -226,6 +221,21 @@ def _plan_action(fault_plan, shard, attempt) -> Optional[str]:
     return None
 
 
+def _solve_shard(job, values, weights, start, stop, threads):
+    """Solve one shard: the per-shard call of both executors.
+
+    A streaming run's shard folds itself here, in the process that solved
+    it, so only its accumulators travel back.
+    """
+    return ensemble_sweep(
+        job["circuit"], job["output"], job["frequencies"], job["space"],
+        values=values[start:stop], solver=job["solver"],
+        method=job["method"], workers=threads, on_failure=job["on_failure"],
+        policy=job["policy"], shard_size=stop - start,
+        weights=None if weights is None else weights[start:stop],
+        **job["streaming"])
+
+
 # --------------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------------- #
@@ -246,23 +256,20 @@ def _worker_main(slot, payload, tasks, results, values_buffer,
     instant leaves either an unreported (re-runnable) shard or a fully
     written one.
 
-    Streaming mode (``store_responses=False``): no responses buffer exists;
-    the worker folds its shard into fresh accumulators and ships them in
-    the completion message.  A kill before the message leaves *no* trace —
-    accumulators travel with the report, so a shard folds exactly once no
-    matter how many attempts it took.
+    Streaming mode (no responses buffer): the worker folds its shard into
+    fresh accumulators and ships them in the completion message.  A kill
+    before the message leaves *no* trace — accumulators travel with the
+    report, so a shard folds exactly once no matter how many attempts it
+    took.
     """
     num_samples = payload["num_samples"]
-    num_axes = payload["num_axes"]
-    num_points = payload["num_points"]
-    store_responses = payload["store_responses"]
     values = np.frombuffer(values_buffer, dtype=float).reshape(
-        num_samples, num_axes)
+        num_samples, payload["num_axes"])
     responses = None
-    if store_responses:
+    if responses_buffer is not None:
         responses = np.frombuffer(
             responses_buffer, dtype=np.complex128).reshape(
-                num_samples, num_points)
+                num_samples, payload["num_points"])
     weights = None
     if weights_buffer is not None:
         weights = np.frombuffer(weights_buffer, dtype=float)[:num_samples]
@@ -292,42 +299,20 @@ def _worker_main(slot, payload, tasks, results, values_buffer,
                 raise RuntimeError(
                     f"injected crash (shard {shard}, attempt {attempt})")
             before = telemetry_snapshot()
-            if store_responses:
-                shard_result = ensemble_sweep(
-                    payload["circuit"], payload["output"],
-                    payload["frequencies"], payload["space"],
-                    values=values[start:stop], solver=payload["solver"],
-                    method=payload["method"], workers=1,
-                    on_failure=payload["on_failure"],
-                    policy=payload["policy"])
-                shard_stats = shard_yield = None
-            else:
-                shard_result = ensemble_sweep(
-                    payload["circuit"], payload["output"],
-                    payload["frequencies"], payload["space"],
-                    values=values[start:stop], solver=payload["solver"],
-                    method=payload["method"], workers=1,
-                    on_failure=payload["on_failure"],
-                    policy=payload["policy"],
-                    store_responses=False, shard_size=stop - start,
-                    histogram_bins=payload["histogram_bins"],
-                    histogram_range=payload["histogram_range"],
-                    weights=(None if weights is None
-                             else weights[start:stop]),
-                    yield_specs=payload["yield_specs"])
-                shard_stats = shard_result.statistics
-                shard_yield = shard_result.yields
+            shard_result = _solve_shard(payload, values, weights, start,
+                                        stop, threads=1)
             after = telemetry_snapshot()
             if action == "kill_after":
                 # The solve completed but the worker dies before any
                 # write-back / report: the at-most-once worst case.
                 os.kill(os.getpid(), signal.SIGKILL)
-            if store_responses:
+            if responses is not None:
                 responses[start:stop] = shard_result.responses
             delta = {key: after[key] - before[key] for key in after}
             results.put(("done", slot, shard, attempt,
                          report_to_json(shard_result.report), delta,
-                         shard_result.solver, shard_stats, shard_yield))
+                         shard_result.solver, shard_result.statistics,
+                         shard_result.yields))
         except ReproError as error:
             # Numerical failure (raise mode): forward the typed error.
             try:
@@ -403,40 +388,30 @@ def _shutdown(handles) -> None:
 def run_shards(circuit, output, frequencies, space, values, plan, *,
                solver="lapack", method="auto", on_failure="quarantine",
                policy=None, workers=None, config=None,
-               on_shard_complete=None, store_responses=True,
-               weights=None, yield_specs=None, histogram_bins=None,
-               histogram_range=None, stats_out=None,
-               yields_out=None) -> ShardRun:
-    """Execute a fixed shard plan, supervised, and return raw outcomes.
+               on_shard_complete=None, fold=None, threads=1) -> ShardRun:
+    """Execute a fixed shard plan and fold each shard in plan order.
 
-    The workhorse under both :func:`parallel_ensemble_sweep` and the
-    ``workers=`` arm of
+    The one plan executor under :func:`parallel_ensemble_sweep` and
     :func:`~repro.montecarlo.checkpoint.checkpointed_ensemble_sweep`.
-    ``plan`` rows index into ``values`` (and the returned ``responses``),
-    so a resumed checkpoint can run just its remaining tail with global
-    sample indices.
+    ``workers=1`` runs the plan in-process (no subprocesses, no fault
+    injection), each shard on ``threads`` solver threads (``None``: the
+    engine default) — the bit-parity reference for every multi-worker run;
+    more workers run it in supervised worker processes of one thread each.
+    ``plan`` rows index into ``values``, so a resumed checkpoint can run
+    just its remaining tail with global sample indices.
+
+    ``fold`` (the driver's ``engine._EnsembleFold``) absorbs each shard as
+    it joins the **contiguous** completed prefix of ``plan``: shards may
+    finish out of order, but the fold only ever sees them in plan order.
+    Without one, the run stores its responses.  A streaming fold's shards
+    fold themselves where they were solved and ship only their
+    accumulators, so no O(M×F) buffer exists; the fold's ``weights``
+    (global indexing) reach the workers through shared memory.
 
     ``on_shard_complete(prefix_shards, responses, reports, solver_used)``
-    fires in the supervisor whenever the **contiguous** completed prefix of
-    ``plan`` advances — shards may finish out of order, but the callback
-    only ever sees an in-order prefix, which is what lets the checkpoint
-    layer fold + save deterministically mid-run.
-
-    ``store_responses=False`` switches to streaming: no shared responses
-    buffer is allocated, each shard's rows are folded worker-side into
-    per-shard :class:`~repro.montecarlo.statistics.EnsembleStatistics` /
-    :class:`~repro.montecarlo.statistics.StreamingYield` accumulators that
-    travel back in the completion message, and the returned
-    ``ShardRun.responses`` is ``None``.  ``stats_out`` / ``yields_out``
-    (optional dicts) are filled with the per-shard accumulators *as results
-    arrive* — before ``on_shard_complete`` fires for them — which is how
-    the checkpoint layer folds streaming shards mid-run.  ``weights``
-    carries optional per-sample likelihood ratios (global indexing, shipped
-    through shared memory).
-
-    ``workers=1`` executes the plan sequentially in-process (no
-    subprocesses, no fault injection) — the bit-parity reference for every
-    multi-worker run.
+    fires in the calling process after each shard is absorbed, with the
+    fold's responses — which is what lets the checkpoint layer save
+    deterministically mid-run.
     """
     config = config or SupervisorConfig()
     values = np.ascontiguousarray(np.asarray(values, dtype=float))
@@ -446,90 +421,71 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
     if workers is None:
         workers = _default_workers()
     workers = max(1, min(int(workers), max(1, len(plan))))
-    if weights is not None:
-        weights = np.ascontiguousarray(np.asarray(weights, dtype=float))
+    if fold is None:
+        fold = _EnsembleFold(frequencies, num_samples, solver=solver)
+    payload = {
+        "circuit": circuit, "output": output, "frequencies": frequencies,
+        "space": space, "solver": solver, "method": method,
+        "on_failure": on_failure, "policy": policy,
+        "streaming": fold.streaming_options(),
+        "num_samples": num_samples, "num_axes": num_axes,
+        "num_points": num_points,
+        "heartbeat_interval": config.heartbeat_interval,
+        "fault_plan": _FAULT_PLAN,
+    }
 
     attempts: Dict[int, List[str]] = collections.defaultdict(list)
     reports: Dict[int, Optional[SweepReport]] = {}
-    statistics = {} if stats_out is None else stats_out
-    yields = {} if yields_out is None else yields_out
-    solver_used = solver
-    bounds = {shard: (start, stop) for shard, start, stop in plan}
-    streaming_kwargs = {
-        "store_responses": False, "histogram_bins": histogram_bins,
-        "histogram_range": histogram_range, "yield_specs": yield_specs}
+    parked: Dict[int, EnsembleResult] = {}    # solved, awaiting the prefix
+    prefix = 0
+
+    def advance_prefix():
+        nonlocal prefix
+        while prefix < len(plan) and plan[prefix][0] in parked:
+            shard, start, stop = plan[prefix]
+            fold.absorb(parked.pop(shard), start, stop)
+            prefix += 1
+            if on_shard_complete is not None:
+                on_shard_complete(prefix, fold.responses, reports,
+                                  fold.solver)
 
     if workers == 1:
-        responses = (np.zeros((num_samples, num_points), dtype=complex)
-                     if store_responses else None)
-        for prefix, (shard, start, stop) in enumerate(plan):
-            extra = {}
-            if not store_responses:
-                extra = dict(streaming_kwargs, shard_size=stop - start,
-                             weights=(None if weights is None
-                                      else weights[start:stop]))
-            shard_result = ensemble_sweep(
-                circuit, output, frequencies, space,
-                values=values[start:stop], solver=solver, method=method,
-                workers=1, on_failure=on_failure, policy=policy, **extra)
-            if store_responses:
-                responses[start:stop] = shard_result.responses
-            else:
-                statistics[shard] = shard_result.statistics
-                if shard_result.yields is not None:
-                    yields[shard] = shard_result.yields
+        for shard, start, stop in plan:
+            shard_result = _solve_shard(payload, values, fold.weights, start,
+                                        stop, threads)
             reports[shard] = shard_result.report
-            solver_used = shard_result.solver
             attempts[shard].append("attempt 1 in-process: completed")
-            if on_shard_complete is not None:
-                on_shard_complete(prefix + 1, responses, reports,
-                                  solver_used)
-        return ShardRun(responses=responses, reports=reports,
-                        attempts=dict(attempts), solver_used=solver_used,
-                        redispatches=0, workers=1, statistics=statistics,
-                        yields=yields)
+            parked[shard] = shard_result
+            advance_prefix()
+        return ShardRun(responses=fold.responses, reports=reports,
+                        attempts=dict(attempts), solver_used=fold.solver,
+                        redispatches=0, workers=1)
 
     context = multiprocessing.get_context(
         config.start_method or _start_method())
     values_buffer = RawArray("d", max(1, num_samples * num_axes))
     np.frombuffer(values_buffer, dtype=float)[:values.size] = values.ravel()
-    if store_responses:
+    responses_buffer = responses = None
+    if fold.responses is not None:
+        # Streaming runs never allocate this O(M×F) buffer: accumulators
+        # ride the result queue instead.
         responses_buffer = RawArray("d", max(1, 2 * num_samples * num_points))
         responses = np.frombuffer(
             responses_buffer, dtype=np.complex128,
             count=num_samples * num_points).reshape(num_samples, num_points)
-    else:
-        # Streaming: accumulators ride the result queue; the O(M×F) shared
-        # buffer — the very thing this mode removes — is never allocated.
-        responses_buffer = None
-        responses = None
     weights_buffer = None
-    if weights is not None:
+    if fold.weights is not None:
         weights_buffer = RawArray("d", max(1, num_samples))
         np.frombuffer(weights_buffer,
-                      dtype=float)[:weights.size] = weights.ravel()
+                      dtype=float)[:num_samples] = fold.weights
     heartbeats = RawArray("d", workers)
-
-    payload = {
-        "circuit": circuit, "output": output, "frequencies": frequencies,
-        "space": space, "solver": solver, "method": method,
-        "on_failure": on_failure, "policy": policy,
-        "num_samples": num_samples, "num_axes": num_axes,
-        "num_points": num_points,
-        "store_responses": store_responses,
-        "yield_specs": yield_specs,
-        "histogram_bins": histogram_bins,
-        "histogram_range": histogram_range,
-        "heartbeat_interval": config.heartbeat_interval,
-        "fault_plan": _FAULT_PLAN,
-    }
 
     pending = collections.deque(shard for shard, _, __ in plan)
     ready_at: Dict[int, float] = {}
     attempt_counts: Dict[int, int] = collections.defaultdict(int)
     completed = set()
-    prefix = 0
     redispatches = 0
+    bounds = {shard: (start, stop) for shard, start, stop in plan}
     handles = [_spawn_worker(context, slot, payload, values_buffer,
                              responses_buffer, weights_buffer, heartbeats)
                for slot in range(workers)]
@@ -580,15 +536,6 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
                 handle.tasks.put((candidate, start, stop, handle.attempt))
                 break
 
-    def advance_prefix():
-        nonlocal prefix
-        moved = False
-        while prefix < len(plan) and plan[prefix][0] in completed:
-            prefix += 1
-            moved = True
-        if moved and on_shard_complete is not None:
-            on_shard_complete(prefix, responses, reports, solver_used)
-
     def handle_message(handle, message):
         kind, slot, shard, attempt, *rest = message
         if kind == "done":
@@ -600,15 +547,17 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
                 if shard in pending:      # late result beat a re-dispatch
                     pending.remove(shard)
                 reports[shard] = report_from_json(report_json)
-                if shard_stats is not None:
-                    statistics[shard] = shard_stats
-                if shard_yield is not None:
-                    yields[shard] = shard_yield
                 merge_telemetry(delta)
                 attempts[shard].append(
                     f"attempt {attempt} on worker {slot}: completed")
-                nonlocal solver_used
-                solver_used = shard_solver
+                start, stop = bounds[shard]
+                parked[shard] = EnsembleResult(
+                    frequencies=frequencies, values=values[start:stop],
+                    responses=(None if responses is None
+                               else responses[start:stop]),
+                    space=space, output=output, solver=shard_solver,
+                    report=reports[shard], statistics=shard_stats,
+                    yields=shard_yield)
                 advance_prefix()
         elif kind == "numerical":
             error = rest[0]
@@ -666,10 +615,9 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
 
     if failure:
         raise failure[0]
-    return ShardRun(responses=responses, reports=reports,
-                    attempts=dict(attempts), solver_used=solver_used,
-                    redispatches=redispatches, workers=workers,
-                    statistics=statistics, yields=yields)
+    return ShardRun(responses=fold.responses, reports=reports,
+                    attempts=dict(attempts), solver_used=fold.solver,
+                    redispatches=redispatches, workers=workers)
 
 
 # --------------------------------------------------------------------------- #
@@ -722,10 +670,10 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
         ``store_responses=False`` workers fold their shards into
         accumulators and ship those instead of response rows (no O(M×F)
         shared buffer exists at all), the supervisor merges them **in fixed
-        shard order** once the plan completes, and the result carries
-        ``responses=None`` with ``statistics`` / ``yields`` populated —
-        bit-identical to the sequential streaming run at the same
-        ``shard_size``, for every worker count.
+        shard order**, and the result carries ``responses=None`` with
+        ``statistics`` / ``yields`` populated — bit-identical to the
+        sequential streaming run at the same ``shard_size``, for every
+        worker count.
 
     Raises
     ------
@@ -737,104 +685,22 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
     if space is None:
         space = ParameterSpace(circuit)
     frequencies = np.asarray(frequencies, dtype=float)
-    if values is None:
-        values = space.sample_values(samples, seed, method=sampler)
-    else:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(space):
-            raise FormulationError(
-                f"values must be (M, {len(space)}), got {values.shape}")
-    num_samples = values.shape[0]
-    plan = shard_plan(num_samples, shard_size)
-    resilient = on_failure == "quarantine" or policy is not None
-    output_normalized = _normalize_output(output)
-
+    values = _ensemble_values(space, values, samples, seed, sampler)
     if store_responses:
-        for name, value in (("histogram_bins", histogram_bins),
-                            ("histogram_range", histogram_range),
-                            ("weights", weights),
-                            ("yield_specs", yield_specs)):
-            if value is not None:
-                raise FormulationError(
-                    f"{name} requires the streaming mode "
-                    "(store_responses=False)")
-    else:
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (num_samples,):
-                raise FormulationError(
-                    f"weights must be ({num_samples},), got {weights.shape}")
-        bins = (DEFAULT_HISTOGRAM_BINS if histogram_bins is None
-                else int(histogram_bins))
-        low, high = (DEFAULT_HISTOGRAM_RANGE if histogram_range is None
-                     else histogram_range)
-        run = run_shards(circuit, output, frequencies, space, values, plan,
-                         solver=solver, method=method, on_failure=on_failure,
-                         policy=policy, workers=workers, config=config,
-                         store_responses=False, weights=weights,
-                         yield_specs=yield_specs, histogram_bins=bins,
-                         histogram_range=(low, high))
-        statistics = EnsembleStatistics(
-            frequencies=frequencies, histogram_bins=bins,
-            histogram_low_db=float(low), histogram_high_db=float(high))
-        yields = None
-        if yield_specs is not None:
-            specs = (list(yield_specs)
-                     if isinstance(yield_specs, (list, tuple))
-                     else [yield_specs])
-            yields = StreamingYield(spec_names=[spec.name for spec in specs])
-        merged = (SweepReport(label="ensemble member", kind="sample",
-                              total=num_samples) if resilient else None)
-        # Fixed shard order: merging each shard accumulator into exact
-        # zeros replays the sequential fold addition-for-addition, so the
-        # result is bit-identical for every worker count.
-        for shard, start, stop in plan:
-            shard_stats = run.statistics.get(shard)
-            if shard_stats is not None:
-                statistics.merge(shard_stats)
-            shard_yield = run.yields.get(shard)
-            if yields is not None and shard_yield is not None:
-                yields.merge(shard_yield)
-            if merged is not None and run.reports.get(shard) is not None:
-                merge_shard_report(merged, run.reports[shard], start)
-        info = ParallelRunInfo(workers=run.workers,
-                               shard_size=int(shard_size),
-                               shards=len(plan),
-                               redispatches=run.redispatches,
-                               attempts=run.attempts, statistics=statistics)
-        return EnsembleResult(frequencies=frequencies, values=values,
-                              responses=None, space=space,
-                              output=output_normalized,
-                              solver=run.solver_used, report=merged,
-                              parallel=info, statistics=statistics,
-                              yields=yields, weights=weights)
-
+        _reject_streaming_options(histogram_bins, histogram_range, weights,
+                                  yield_specs)
+    plan = shard_plan(values.shape[0], shard_size)
+    fold = _EnsembleFold(
+        frequencies, values.shape[0], solver=solver,
+        store_responses=store_responses,
+        resilient=on_failure == "quarantine" or policy is not None,
+        histogram_bins=histogram_bins, histogram_range=histogram_range,
+        weights=weights, yield_specs=yield_specs)
     run = run_shards(circuit, output, frequencies, space, values, plan,
                      solver=solver, method=method, on_failure=on_failure,
-                     policy=policy, workers=workers, config=config)
-
-    responses = np.array(run.responses, copy=True)
-    statistics = EnsembleStatistics(frequencies=frequencies)
-    merged = (SweepReport(label="ensemble member", kind="sample",
-                          total=num_samples) if resilient else None)
-    # Fixed shard order: the exact statistics stream of a checkpointed or
-    # sequential run with the same shard_size, whatever the completion
-    # order was.
-    for shard, start, stop in plan:
-        shard_view = EnsembleResult(
-            frequencies=frequencies, values=values[start:stop],
-            responses=responses[start:stop], space=space,
-            output=output_normalized, solver=run.solver_used,
-            report=run.reports.get(shard))
-        statistics.update(
-            shard_view.magnitudes_db()[shard_view.surviving_mask()])
-        if merged is not None and run.reports.get(shard) is not None:
-            merge_shard_report(merged, run.reports[shard], start)
-
+                     policy=policy, workers=workers, config=config,
+                     fold=fold)
     info = ParallelRunInfo(workers=run.workers, shard_size=int(shard_size),
                            shards=len(plan), redispatches=run.redispatches,
-                           attempts=run.attempts, statistics=statistics)
-    return EnsembleResult(frequencies=frequencies, values=values,
-                          responses=responses, space=space,
-                          output=output_normalized, solver=run.solver_used,
-                          report=merged, parallel=info)
+                           attempts=run.attempts, statistics=fold.statistics)
+    return fold.result(values, space, output, parallel=info)

@@ -366,7 +366,7 @@ _WORKER_SLACK_BYTES = 1024 * 1024
 class TestMemoryRegression:
     """A 10⁵-sample streaming run must stay O(F), not O(M×F)."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_streaming_peak_allocation_bounded(self, ladder, workers):
         circuit, spec, space = ladder
         samples = 100_000
