@@ -67,7 +67,6 @@ class FormulationBase:
     #: Lazily filled caches (class-level ``None`` doubles as "not built yet").
     _dense_parts_cache = None
     _merged_structure_cache = None
-    _stamp_columns_cache = None
 
     def sparse_parts(self):
         """The constant and frequency-proportional sparse parts ``(G, C)``."""
@@ -124,92 +123,3 @@ class FormulationBase:
         if conductance_scale != 1.0:
             base = conductance_scale * base
         return base + factors[:, None, None] * dynamic[None, :, :]
-
-    # ------------------------------------------------------------------ #
-    # the parameter axis
-    # ------------------------------------------------------------------ #
-
-    def stamp_columns(self, names):
-        """Cached per-element rank-1 incidence columns of ``names``.
-
-        Returns ``(U, V, g, c)`` — ``(n, E)`` output/control incidence
-        matrices plus ``(E,)`` conductance and capacitance vectors, one
-        column per element, from :meth:`element_stamp`.  This is the stamp
-        incidence every parameter-space evaluation contracts against, built
-        (and kept) once per distinct element tuple.
-
-        Raises
-        ------
-        FormulationError
-            For elements without a rank-1 admittance stamp.
-        """
-        key = tuple(str(name) for name in names)
-        if self._stamp_columns_cache is None:
-            self._stamp_columns_cache = {}
-        cached = self._stamp_columns_cache.get(key)
-        if cached is None:
-            stamps = [self.element_stamp(name) for name in key]
-            cached = (
-                np.column_stack([stamp.u for stamp in stamps]),
-                np.column_stack([stamp.v for stamp in stamps]),
-                np.array([stamp.conductance for stamp in stamps]),
-                np.array([stamp.capacitance for stamp in stamps]),
-            )
-            self._stamp_columns_cache[key] = cached
-        return cached
-
-    def assemble_param_batch(self, s_values, names, admittance_scales,
-                             conductance_scale=1.0,
-                             frequency_scale=1.0) -> np.ndarray:
-        """``(M, K, n, n)`` stack over samples × frequencies.
-
-        The assembled parts are *affine* in the element admittances, so
-        sample ``m`` differs from the base assembly by the rank-1 updates
-        ``(scale_me − 1)·y_e·u_e·v_eᵀ`` — one einsum over the cached stamp
-        incidence of :meth:`stamp_columns`, then the ordinary broadcast over
-        the frequency axis.  Accurate to rounding relative to re-stamping a
-        perturbed circuit (the bit-exact re-stamping lives in
-        :class:`repro.montecarlo.program.ValueProgram`).
-
-        Parameters
-        ----------
-        s_values:
-            ``(K,)`` complex frequencies.
-        names:
-            Elements whose admittance varies (must have rank-1 stamps).
-        admittance_scales:
-            ``(M, E)`` relative admittance multipliers, one row per sample
-            (``1.0`` = nominal; note a resistor whose *value* scales by ``p``
-            has admittance scale ``1/p``).
-
-        Notes
-        -----
-        The returned stack is dense ``M·K·n²`` complex — callers sweeping
-        large ensembles should chunk the sample *and* frequency axes (as
-        :meth:`repro.engine.sweep.SweepEngine.iter_param_sweep` does) rather
-        than materialize the whole ensemble.
-        """
-        s = np.asarray(s_values, dtype=complex)
-        scales = np.asarray(admittance_scales)
-        # Materialize once: a generator argument must survive both the shape
-        # check and the stamp-column lookup below.
-        names = tuple(names)
-        if scales.ndim != 2 or scales.shape[1] != len(names):
-            raise ValueError(
-                f"admittance_scales must be (M, {len(names)}), got "
-                f"{scales.shape}")
-        incidence_u, incidence_v, conductances, capacitances = (
-            self.stamp_columns(names))
-        delta = scales - 1.0
-        constant, dynamic = self.dense_parts()
-        constant = constant[None, :, :] + np.einsum(
-            "me,ne,pe->mnp", delta * conductances[None, :], incidence_u,
-            incidence_v)
-        dynamic = dynamic[None, :, :] + np.einsum(
-            "me,ne,pe->mnp", delta * capacitances[None, :], incidence_u,
-            incidence_v)
-        factors = s if frequency_scale == 1.0 else s * frequency_scale
-        if conductance_scale != 1.0:
-            constant = conductance_scale * constant
-        return (constant[:, None, :, :]
-                + factors[None, :, None, None] * dynamic[:, None, :, :])

@@ -25,8 +25,10 @@ shape of ``ac_sweep``); :class:`SweepFactors` keeps them (the shape of
 ``ac_factor_sweep`` and the rank-1 screening, where every subsequent solve
 costs O(n²) instead of an O(n³) refactorization).  The MNA sweeps
 (:mod:`repro.mna.solve`), the interpolation batch sampler
-(:mod:`repro.nodal.batch`) and the sensitivity engine
-(:mod:`repro.analysis.sensitivity`) are all thin adapters over this module.
+(:mod:`repro.nodal.batch`), the sensitivity engine
+(:mod:`repro.analysis.sensitivity`) and the sparse path of the Monte Carlo
+ensemble (:mod:`repro.montecarlo.engine`) are all thin adapters over this
+module.
 """
 
 from __future__ import annotations
@@ -319,21 +321,37 @@ class SweepEngine:
         else:
             keys, constant_values, dynamic_values = (
                 self.formulation.merged_sparse_structure())
-            n = self.formulation.dimension
-            order = self.column_order()
             base = (constant_values if conductance_scale == 1.0
                     else conductance_scale * constant_values)
-            for k, point in enumerate(s):
-                factor = complex(point)
-                if frequency_scale != 1.0:
-                    factor = factor * frequency_scale
-                values = base + factor * dynamic_values
-                matrix = SparseMatrix.from_entries(n, n,
-                                                   zip(keys, values.tolist()))
-                solutions[k] = self._resilient_sparse_point(
-                    matrix, rhs, policy, report, k,
-                    f"sweep point {k} (s={factor!r})", order, on_failure)
+            factors = _frequency_factors(s, frequency_scale)
+            for k, solution in self._resilient_sparse_points(
+                    keys, base, dynamic_values, factors, rhs, policy, report,
+                    lambda k: (k, f"sweep point {k} "
+                                  f"(s={complex(factors[k])!r})"),
+                    on_failure):
+                solutions[k] = solution
         return solutions
+
+    def _resilient_sparse_points(self, keys, base, dynamic, factors, rhs,
+                                 policy, report, indexer, on_failure):
+        """Yield ``(k, x)``: ``base + factors[k]·dynamic`` solved resiliently.
+
+        The per-point resilient twin of :meth:`_sparse_chunks`: each point
+        goes through :func:`~repro.engine.resilience.resilient_sparse_solve`
+        along the engine's pivot pattern.  ``indexer(k)`` gives the point's
+        ``(report index, description)``.  An unrecoverable point raises
+        under ``on_failure="raise"`` and yields NaN otherwise.
+        """
+        n = self.formulation.dimension
+        order = self.column_order()
+        for k, factor in enumerate(factors):
+            values = base + factor * dynamic
+            matrix = SparseMatrix.from_entries(n, n,
+                                               zip(keys, values.tolist()))
+            index, description = indexer(k)
+            yield k, self._resilient_sparse_point(
+                matrix, rhs, policy, report, index, description, order,
+                on_failure)
 
     def _resilient_sparse_point(self, matrix, rhs, policy, report, index,
                                 description, order, on_failure):
@@ -365,246 +383,6 @@ class SweepEngine:
             self.factorization_count += 1
             report.record_recovery(index, diagnostics)
         return x
-
-    # ------------------------------------------------------------------ #
-    # the parameter axis
-    # ------------------------------------------------------------------ #
-
-    def iter_param_sweep(self, s, names, admittance_scales, rhs,
-                         conductance_scale=1.0, frequency_scale=1.0):
-        """Yield ``(sample, (K, n) solutions)`` one ensemble member at a time.
-
-        The streaming core of :meth:`solve_param_sweep`: at no point does
-        more than one assembly chunk (bounded by
-        :func:`~repro.linalg.dense.sweep_chunk_size`) plus one sample's
-        ``(K, n)`` solution block live in memory, so a 10⁴-node ensemble
-        sweep never materializes the full ``M × K`` stack.  Dense systems
-        group as many whole samples per chunk as the budget allows and split
-        the *frequency* axis once a single sample's sweep exceeds it; sparse
-        systems stream per sample, in refactorization chunks along the
-        engine's pivot pattern.
-        """
-        s = np.asarray(s, dtype=complex)
-        scales = np.asarray(admittance_scales)
-        rhs = np.asarray(rhs, dtype=complex)
-        # Materialize once: the name tuple is consumed per chunk below (and
-        # twice on the sparse path), so a generator must not drain early.
-        names = tuple(names)
-        num_samples = scales.shape[0]
-        n = self.formulation.dimension
-        if num_samples == 0 or len(s) == 0:
-            return
-        if self.is_dense:
-            budget = sweep_chunk_size(n)
-            if len(s) > budget:
-                # One sample's sweep exceeds the chunk budget: keep samples
-                # whole and stream the frequency axis instead.
-                for sample in range(num_samples):
-                    block = scales[sample:sample + 1]
-                    solutions = np.empty((len(s), n), dtype=complex)
-                    for start in range(0, len(s), budget):
-                        points = s[start:start + budget]
-                        stack = self.formulation.assemble_param_batch(
-                            points, names, block, conductance_scale,
-                            frequency_scale)
-                        flat = stack.reshape(len(points), n, n)
-                        factorization = batched_dense_lu(flat, overwrite=True)
-                        self.factorization_count += flat.shape[0]
-                        if factorization.singular.any():
-                            index = int(np.argmax(factorization.singular))
-                            raise SingularMatrixError(
-                                f"{self.singular_label} is singular for "
-                                f"sample {sample} at sweep point "
-                                f"{start + index}")
-                        solutions[start:start + len(points)] = (
-                            factorization.solve(rhs))
-                    yield sample, solutions
-                return
-            chunk = max(1, budget // max(1, len(s)))
-            for start in range(0, num_samples, chunk):
-                block = scales[start:start + chunk]
-                stack = self.formulation.assemble_param_batch(
-                    s, names, block, conductance_scale, frequency_scale)
-                flat = stack.reshape(len(block) * len(s), n, n)
-                factorization = batched_dense_lu(flat, overwrite=True)
-                self.factorization_count += flat.shape[0]
-                if factorization.singular.any():
-                    index = int(np.argmax(factorization.singular))
-                    raise SingularMatrixError(
-                        f"{self.singular_label} is singular for sample "
-                        f"{start + index // len(s)} at sweep point "
-                        f"{index % len(s)}")
-                solved = factorization.solve(rhs).reshape(len(block), len(s),
-                                                          n)
-                for offset in range(len(block)):
-                    yield start + offset, solved[offset]
-            return
-
-        # Sparse path: affine update of the merged-structure values, pivot
-        # pattern shared across the whole ensemble.
-        keys, __, __ = self.formulation.merged_sparse_structure()
-        factors = _frequency_factors(s, frequency_scale)
-        for sample, constant_sample, dynamic_sample in (
-                self._sparse_param_samples(names, scales, conductance_scale)):
-            solutions = np.empty((len(s), n), dtype=complex)
-            for start, factorization in self._sparse_chunks(
-                    keys, constant_sample, dynamic_sample, factors):
-                solutions[start:start + factorization.batch] = (
-                    factorization.solve(rhs))
-                del factorization
-            yield sample, solutions
-
-    def _sparse_param_samples(self, names, scales, conductance_scale):
-        """Yield ``(sample, constant_values, dynamic_values)`` per member.
-
-        The vectorized affine update shared by the legacy and resilient
-        sparse parameter sweeps: sample ``m`` perturbs the merged-structure
-        value vectors by ``(scale − 1)·(element stamp)`` per scaled element,
-        reproducing :meth:`iter_param_sweep`'s historic arithmetic exactly.
-        """
-        keys, constant_values, dynamic_values = (
-            self.formulation.merged_sparse_structure())
-        position = {key: index for index, key in enumerate(keys)}
-        incidence_u, incidence_v, conductances, capacitances = (
-            self.formulation.stamp_columns(names))
-        entry_positions: list = []
-        entry_weights: list = []
-        entry_elements: list = []
-        for column in range(incidence_u.shape[1]):
-            rows = np.flatnonzero(incidence_u[:, column])
-            cols = np.flatnonzero(incidence_v[:, column])
-            for row in rows:
-                for col in cols:
-                    key = (int(row), int(col))
-                    if key not in position:
-                        raise FormulationError(
-                            f"stamp entry {key} of element "
-                            f"{names[column]!r} is outside the "
-                            "assembled structure")
-                    entry_positions.append(position[key])
-                    entry_weights.append(incidence_u[row, column]
-                                         * incidence_v[col, column])
-                    entry_elements.append(column)
-        entry_positions = np.array(entry_positions, dtype=np.intp)
-        entry_weights = np.array(entry_weights)
-        entry_elements = np.array(entry_elements, dtype=np.intp)
-        delta = scales - 1.0
-        for sample in range(scales.shape[0]):
-            constant_sample = constant_values.astype(complex).copy()
-            dynamic_sample = dynamic_values.astype(complex).copy()
-            np.add.at(constant_sample, entry_positions,
-                      delta[sample, entry_elements]
-                      * conductances[entry_elements] * entry_weights)
-            np.add.at(dynamic_sample, entry_positions,
-                      delta[sample, entry_elements]
-                      * capacitances[entry_elements] * entry_weights)
-            if conductance_scale != 1.0:
-                constant_sample = conductance_scale * constant_sample
-            yield sample, constant_sample, dynamic_sample
-
-    def solve_param_sweep(self, s, names, admittance_scales, rhs,
-                          conductance_scale=1.0, frequency_scale=1.0, *,
-                          on_failure="raise", policy=None) -> np.ndarray:
-        """Solve ``A_m(s_k) x = rhs`` over samples × frequencies.
-
-        The parameter-space companion of :meth:`solve_sweep`: sample ``m``
-        scales the admittances of ``names`` by ``admittance_scales[m]``
-        (see :meth:`~repro.engine.formulation.FormulationBase.assemble_param_batch`).
-        Dense systems assemble the ``(M·K, n, n)`` stack chunk by chunk
-        (chunking whichever of the sample / frequency axes keeps the stack
-        inside the memory budget) and factor through
-        :func:`~repro.linalg.dense.batched_dense_lu`; sparse systems update
-        the merged-structure values per sample and reuse the engine's ordered
-        pivot pattern across every sample and frequency.  Memory-bounded
-        consumers should iterate :meth:`iter_param_sweep` instead of
-        materializing the ``(M, K, n)`` result this convenience returns.
-
-        Returns ``(M, K, n)`` complex solutions.  Accurate to rounding
-        relative to rebuilding each perturbed system (the bit-exact ensemble
-        engine is :func:`repro.montecarlo.ensemble_sweep`).
-
-        ``on_failure`` / ``policy`` follow :meth:`solve_sweep`, at *sample*
-        granularity: a sample with an unrecoverable point is quarantined
-        whole (its ``(K, n)`` block masked to NaN) under ``"quarantine"``,
-        with the outcome recorded in :attr:`last_report`.
-        """
-        if on_failure not in _FAILURE_MODES:
-            raise FormulationError(f"unknown failure mode {on_failure!r}")
-        s = np.asarray(s, dtype=complex)
-        scales = np.asarray(admittance_scales)
-        n = self.formulation.dimension
-        solutions = np.zeros((scales.shape[0], len(s), n), dtype=complex)
-        if on_failure == "raise" and policy is None:
-            self.last_report = None
-            for sample, block in self.iter_param_sweep(
-                    s, names, scales, rhs, conductance_scale,
-                    frequency_scale):
-                solutions[sample] = block
-            return solutions
-
-        policy = policy or SolvePolicy()
-        num_samples = scales.shape[0]
-        report = SweepReport(label=self.singular_label, kind="sample",
-                             total=num_samples)
-        self.last_report = report
-        if num_samples == 0 or len(s) == 0:
-            return solutions
-        if self.is_dense:
-            names = tuple(names)
-            budget = sweep_chunk_size(n)
-            for sample in range(num_samples):
-                block_scales = scales[sample:sample + 1]
-                before = len(report.failures)
-                for start in range(0, len(s), budget):
-                    points = s[start:start + budget]
-                    stack = self.formulation.assemble_param_batch(
-                        points, names, block_scales, conductance_scale,
-                        frequency_scale).reshape(len(points), n, n)
-                    self.factorization_count += len(points)
-
-                    def indexer(member, sample=sample, start=start):
-                        return sample, (f"sample {sample} at sweep point "
-                                        f"{start + member}")
-
-                    solutions[sample, start:start + len(points)] = (
-                        solve_stack_resilient(stack, rhs, policy, report,
-                                              indexer))
-                if len(report.failures) > before:
-                    solutions[sample] = np.nan
-                    if on_failure == "raise":
-                        failure = report.failures[before]
-                        raise SolveFailureError(
-                            f"{self.singular_label} is singular for "
-                            f"{failure.description}: {failure.reason}",
-                            sample=sample)
-        else:
-            keys, __, __ = self.formulation.merged_sparse_structure()
-            order = self.column_order()
-            for sample, constant_sample, dynamic_sample in (
-                    self._sparse_param_samples(names, scales,
-                                               conductance_scale)):
-                before = len(report.failures)
-                for k, point in enumerate(s):
-                    factor = complex(point)
-                    if frequency_scale != 1.0:
-                        factor = factor * frequency_scale
-                    values = constant_sample + factor * dynamic_sample
-                    matrix = SparseMatrix.from_entries(
-                        n, n, zip(keys, values.tolist()))
-                    try:
-                        solutions[sample, k] = self._resilient_sparse_point(
-                            matrix, rhs, policy, report, sample,
-                            f"sample {sample} at sweep point {k}", order,
-                            on_failure)
-                    except SolveFailureError as error:
-                        raise SolveFailureError(
-                            str(error), sample=sample, sweep_point=k,
-                            diagnostics=error.diagnostics) from error
-                    if len(report.failures) > before:
-                        break
-                if len(report.failures) > before:
-                    solutions[sample] = np.nan
-        return solutions
 
     def factor_sweep(self, s, conductance_scale=1.0,
                      frequency_scale=1.0) -> "SweepFactors":

@@ -14,9 +14,11 @@ batched solves instead of M independent circuit rebuilds:
   :func:`~repro.linalg.dense.batched_dense_lu` (``solver="lu"``, the
   bit-parity arm whose outputs equal the rebuild-per-sample path *exactly* —
   both solvers are batch-size invariant, so chunking cannot change results),
-* above the dense cutoff the sweep falls back to the shared
-  :meth:`~repro.engine.sweep.SweepEngine.solve_param_sweep` sparse path
-  (pivot-pattern refactorization, accurate to rounding).
+* above the dense cutoff each sample's value vectors go through a
+  :class:`~repro.engine.sweep.SweepEngine` over the nominal MNA system: a
+  fresh pivot search per sample, then the engine's compiled refactorization
+  across the frequency axis (its per-point escalation loop on a resilient
+  run), bit-identical to the rebuild-per-sample path.
 
 :func:`rebuild_sweep` is the M-independent-rebuilds reference the engine is
 benchmarked and parity-checked against: one circuit copy + MNA build + AC
@@ -42,12 +44,10 @@ from typing import Optional
 import numpy as np
 
 from ..engine.resilience import (SolvePolicy, SweepReport,
-                                 merge_shard_report,
-                                 resilient_sparse_solve,
-                                 solve_stack_resilient)
+                                 merge_shard_report, solve_stack_resilient)
+from ..engine.sweep import SweepEngine
 from ..errors import (FormulationError, SingularMatrixError,
                       SolveFailureError)
-from ..linalg.config import use_dense
 from ..linalg.dense import batched_dense_lu, batched_solve
 from ..mna.builder import build_mna_system
 from ..netlist.elements import GROUND
@@ -334,70 +334,54 @@ def _dense_ensemble(system, program, s, values, terms, solver,
     return responses
 
 
-def _sparse_ensemble(system, program, s, values, terms, policy=None,
+def _sparse_ensemble(engine, program, s, values, terms, policy=None,
                      report=None) -> np.ndarray:
-    """Sparse-path ensemble: per-sample value vectors, per-sample patterns.
+    """Sparse-path ensemble: per-sample values through one sweep engine.
 
-    Mirrors the rebuild path's factorization policy exactly: every sample
-    starts from a fresh ordered factorization (a rebuilt
-    :class:`~repro.engine.sweep.SweepEngine` would too) and refactors along
-    its own pivot order across the frequency axis.  Pivot choices are
-    value-dependent through the threshold test, so sharing one pattern across
-    samples — the pre-ordering behavior — broke bit-parity with
-    :func:`rebuild_sweep`; per-sample patterns restore it while keeping the
-    factor-once / refactor-many economy within each sample's sweep.
+    ``engine`` is a :class:`~repro.engine.sweep.SweepEngine` over the
+    nominal system; it supplies the fill-reducing order.  The factorization
+    policy mirrors the rebuild path exactly: every sample starts from a
+    fresh ordered factorization (a rebuilt engine would too) and refactors
+    along its own pivot order across the frequency axis, in the engine's
+    compiled chunks.  Pivot choices are value-dependent through the
+    threshold test, so sharing one pattern across samples would break
+    bit-parity with :func:`rebuild_sweep`.  A resilient run solves point by
+    point through the engine's escalation loop and stops a sample at its
+    first unrecoverable point.
     """
-    from ..linalg.config import sparse_ordering
-    from ..linalg.lu import sparse_lu_reusing
-    from ..linalg.ordering import fill_reducing_order
-    from ..linalg.sparse import SparseMatrix
-
     constant_keys, constant_values, dynamic_keys, dynamic_values = (
         program.sparse_values(values))
-    merged = sorted(set(constant_keys) | set(dynamic_keys))
-    position = {key: index for index, key in enumerate(merged)}
+    keys = sorted(set(constant_keys) | set(dynamic_keys))
+    position = {key: index for index, key in enumerate(keys)}
     num_samples = values.shape[0]
-    base = np.zeros((num_samples, len(merged)), dtype=complex)
-    dynamic = np.zeros((num_samples, len(merged)), dtype=complex)
+    base = np.zeros((num_samples, len(keys)), dtype=complex)
+    dynamic = np.zeros((num_samples, len(keys)), dtype=complex)
     base[:, [position[key] for key in constant_keys]] = constant_values
     dynamic[:, [position[key] for key in dynamic_keys]] = dynamic_values
 
-    dimension = program.dimension
-    ordering = sparse_ordering()
-    order = (None if ordering == "markowitz"
-             else fill_reducing_order(dimension, merged, method=ordering))
+    rhs = engine.formulation.rhs
     responses = np.zeros((num_samples, len(s)), dtype=complex)
-    resilient = policy is not None
     for sample in range(num_samples):
-        pattern = None
-        for k, point in enumerate(s):
-            entry_values = base[sample] + complex(point) * dynamic[sample]
-            matrix = SparseMatrix.from_entries(
-                dimension, dimension, zip(merged, entry_values.tolist()))
-            if resilient:
-                try:
-                    solution, diagnostics, pattern = resilient_sparse_solve(
-                        matrix, system.rhs, policy, pattern, order)
-                except SolveFailureError as error:
-                    escalations = (error.diagnostics.escalations
-                                   if error.diagnostics is not None else ())
-                    report.record_failure(
+        engine._sparse_pattern = None
+        solutions = np.zeros((len(s), engine.dimension), dtype=complex)
+        if policy is None:
+            for start, chunk in engine._sparse_chunks(
+                    keys, base[sample], dynamic[sample], s):
+                solutions[start:start + chunk.batch] = chunk.solve(rhs)
+                del chunk
+        else:
+            before = len(report.failures)
+            for k, solution in engine._resilient_sparse_points(
+                    keys, base[sample], dynamic[sample], s, rhs, policy,
+                    report, lambda k, sample=sample: (
                         sample,
-                        f"ensemble member {sample} at sweep point {k}",
-                        str(error), escalations)
-                    responses[sample] = np.nan
+                        f"ensemble member {sample} at sweep point {k}"),
+                    "quarantine"):
+                if len(report.failures) > before:
+                    # ensemble_sweep masks or raises the whole sample.
                     break
-                if diagnostics.stage == "fast":
-                    report.record_fast()
-                    if diagnostics.degraded:
-                        report.record_degraded(sample, diagnostics.condition)
-                else:
-                    report.record_recovery(sample, diagnostics)
-            else:
-                factorization, pattern, __ = sparse_lu_reusing(
-                    matrix, pattern, column_order=order)
-                solution = factorization.solve(system.rhs)
-            responses[sample, k] = _project(terms, solution[None, :])[0]
+                solutions[k] = solution
+        responses[sample] = _project(terms, solutions)
     return responses
 
 
@@ -612,6 +596,8 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
 
     Raises
     ------
+    FormulationError
+        For an unknown ``solver``, ``method`` or ``on_failure``.
     SingularMatrixError
         When some ensemble member is singular at some sweep point and
         ``on_failure="raise"``.
@@ -647,6 +633,7 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
     _reject_streaming_options(histogram_bins, histogram_range, weights,
                               yield_specs)
     system = build_mna_system(circuit)
+    engine = SweepEngine(system, method=method)
     terms = _output_terms(system, output)
     program = ValueProgram.from_circuit(circuit, space)
     report = None
@@ -654,13 +641,13 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
         policy = policy or SolvePolicy()
         report = SweepReport(label="ensemble member", kind="sample",
                              total=values.shape[0])
-    if use_dense(system.dimension, method):
+    if engine.is_dense:
         responses = _dense_ensemble(system, program, s, values, terms, solver,
                                     workers=workers, policy=policy,
                                     report=report)
     else:
         solver = "sparse"
-        responses = _sparse_ensemble(system, program, s, values, terms,
+        responses = _sparse_ensemble(engine, program, s, values, terms,
                                      policy=policy, report=report)
     if report is not None and report.failures:
         if on_failure == "raise":

@@ -384,26 +384,6 @@ class ParameterSpace:
         """Element values at the deterministic tolerance-band corners."""
         return self.nominal_values[None, :] * self.corner_multipliers()
 
-    def admittance_scales(self, values) -> np.ndarray:
-        """``(M, E)`` relative *admittance* multipliers of sampled values.
-
-        The affine parameter-batch engine
-        (:meth:`~repro.engine.formulation.FormulationBase.assemble_param_batch`)
-        scales element admittances, and a resistor whose value scales by
-        ``p`` has its stamped conductance scaled by ``1/p``; this converts
-        element-value samples accordingly.  Axes with a zero nominal value
-        scale by exactly 1 (their samples are identically zero).
-        """
-        values = np.asarray(values, dtype=float)
-        nominal = self.nominal_values
-        resistor = np.array([isinstance(self.circuit[axis.name], Resistor)
-                             for axis in self.axes])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scales = np.where(resistor[None, :],
-                              nominal[None, :] / values,
-                              values / nominal[None, :])
-        return np.where(nominal[None, :] == 0.0, 1.0, scales)
-
     # ------------------------------------------------------------------ #
     # the rebuild reference
     # ------------------------------------------------------------------ #

@@ -17,7 +17,8 @@ time, patched inside context managers:
 * :func:`ensemble_faults` replaces
   ``repro.montecarlo.engine.ValueProgram`` with a factory returning a
   :class:`ChaosProgram` — a transparent proxy whose :meth:`dense_parts`
-  corrupts the chosen samples' stamped ``(G, C)`` matrices;
+  (and, for ``nan`` faults, :meth:`sparse_values`) corrupts the chosen
+  samples' stamped ``(G, C)`` matrices;
 * :func:`failing_kernel` replaces
   ``repro.engine.resilience.batched_solve`` with a wrapper that raises
   :class:`~repro.errors.SingularMatrixError` on its N-th call and passes
@@ -67,12 +68,13 @@ def inject_dense_fault(constant, dynamic, kind, epsilon=1e-14):
 
 class ChaosProgram:
     """Transparent :class:`~repro.montecarlo.program.ValueProgram` proxy
-    that corrupts chosen samples' dense stamped parts.
+    that corrupts chosen samples' stamped parts.
 
     ``faults`` maps sample index → fault kind (one of :data:`FAULT_KINDS`).
-    Every other attribute — ``dimension``, ``sparse_values``, … — is
-    forwarded to the wrapped program untouched, so the engine cannot tell
-    the difference until it looks at the corrupted matrices.
+    :meth:`dense_parts` and :meth:`sparse_values` inject them; every other
+    attribute — ``dimension``, ``rhs``, … — is forwarded to the wrapped
+    program untouched, so the engine cannot tell the difference until it
+    looks at the corrupted matrices.
 
     With ``ensemble_values`` (the full ``(M, E)`` value matrix of the run)
     the fault indices are **global**: each row of the slice this program is
@@ -115,6 +117,23 @@ class ChaosProgram:
                 inject_dense_fault(constant[position], dynamic[position],
                                    kind, self._epsilon)
         return constant, dynamic
+
+    def sparse_values(self, values):
+        """The sparse path's entry values, with ``nan`` faults injected.
+
+        A ``nan`` fault poisons the sample's first constant entry; the other
+        kinds corrupt dense rows and have no sparse form.
+        """
+        constant_keys, constant, dynamic_keys, dynamic = (
+            self._program.sparse_values(values))
+        for position in range(constant.shape[0]):
+            kind = self._faults.get(self._global_index(values, position))
+            if kind == "nan":
+                constant[position, 0] = np.nan
+            elif kind is not None:
+                raise ValueError(f"fault kind {kind!r} has no sparse-path "
+                                 "injection; use 'nan'")
+        return constant_keys, constant, dynamic_keys, dynamic
 
 
 @contextlib.contextmanager

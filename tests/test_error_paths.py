@@ -133,6 +133,38 @@ class TestSamplingValidation:
             space.importance_sample(8, shift={"nonexistent": 1.0})
 
 
+class TestEnsembleMethodValidation:
+    """A misspelled ``method`` fails in every ensemble driver instead of
+    quietly running the dense path."""
+
+    def test_unknown_method_is_rejected_by_every_driver(self, tmp_path):
+        from repro.circuits.rc_ladder import build_rc_ladder
+        from repro.errors import FormulationError
+        from repro.montecarlo import (ParameterSpace,
+                                      checkpointed_ensemble_sweep,
+                                      ensemble_sweep, parallel_ensemble_sweep)
+
+        circuit, spec = build_rc_ladder(3)
+        names = [element.name for element in circuit
+                 if type(element).__name__ in ("Resistor", "Capacitor")][:2]
+        space = ParameterSpace(circuit, {name: 0.1 for name in names})
+        frequencies = np.logspace(1, 5, 3)
+        unknown = "unknown factorization method 'sparce'"
+        with pytest.raises(FormulationError, match=unknown):
+            ensemble_sweep(circuit, spec, frequencies, space, samples=4,
+                           method="sparce")
+        with pytest.raises(FormulationError, match=unknown):
+            parallel_ensemble_sweep(circuit, spec, frequencies, space,
+                                    samples=4, workers=1, method="sparce")
+        path = tmp_path / "run.npz"
+        with pytest.raises(FormulationError, match=unknown):
+            checkpointed_ensemble_sweep(circuit, spec, frequencies, space,
+                                        path=str(path), samples=4,
+                                        method="sparce")
+        # Nothing was checkpointed under the misspelled method.
+        assert not path.exists()
+
+
 class TestExperimentErrorPaths:
     def test_symbolic_kernel_rejects_empty_epsilons(self):
         with pytest.raises(ValueError, match="non-empty"):

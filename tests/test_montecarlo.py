@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,9 +12,7 @@ from repro.analysis.montecarlo import (
     variance_attribution,
     yield_analysis,
 )
-from repro.circuits.miller_ota import build_miller_ota
 from repro.engine.session import AnalysisSession
-from repro.engine.sweep import SweepEngine
 from repro.errors import FormulationError, NetlistError, SingularMatrixError
 from repro.linalg.dense import batched_dense_lu, batched_solve
 from repro.mna.builder import build_mna_system
@@ -249,14 +245,6 @@ class TestParameterSpace:
         with pytest.raises(NetlistError):
             space.apply(values[:2])
 
-    def test_admittance_scales_invert_resistors(self, toleranced_rc):
-        circuit, __ = toleranced_rc
-        space = ParameterSpace(circuit)
-        values = space.nominal_values[None, :] * 2.0
-        scales = space.admittance_scales(values)
-        assert scales[0, space.names.index("R1")] == pytest.approx(0.5)
-        assert scales[0, space.names.index("C1")] == pytest.approx(2.0)
-
 
 class TestValueProgram:
     def test_dense_parts_bit_identical_to_rebuild(self, toleranced_rc):
@@ -391,59 +379,6 @@ class TestBatchedSolve:
             batched_solve(np.zeros((2, 3, 4)), np.ones(3))
         with pytest.raises(LinAlgError):
             batched_solve(np.zeros((2, 3, 3), dtype=complex), np.ones(4))
-
-
-class TestParamBatchEngine:
-    """The generic affine parameter-batch APIs on formulation + sweep engine."""
-
-    def test_assemble_param_batch_matches_rebuild(self):
-        circuit, spec = build_miller_ota()
-        names = ["M1.gm", "M2.gds", "Cc", "CL"]
-        space = ParameterSpace(circuit, {name: 0.2 for name in names})
-        system = build_mna_system(circuit)
-        values = space.sample_values(4, seed=2)
-        scales = space.admittance_scales(values)
-        s = 2j * math.pi * FREQUENCIES
-        stack = system.assemble_param_batch(s, space.names, scales)
-        assert stack.shape == (4, len(s), system.dimension,
-                               system.dimension)
-        for sample in range(4):
-            rebuilt = build_mna_system(space.apply(values[sample]))
-            expected = rebuilt.assemble_batch(s)
-            np.testing.assert_allclose(stack[sample], expected, rtol=1e-12,
-                                       atol=1e-30)
-        with pytest.raises(ValueError):
-            system.assemble_param_batch(s, space.names, scales[:, :1])
-
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_solve_param_sweep_matches_rebuild(self, method):
-        circuit, spec = build_miller_ota()
-        names = ["M1.gm", "M2.gds", "Cc", "CL"]
-        space = ParameterSpace(circuit, {name: 0.2 for name in names})
-        system = build_mna_system(circuit)
-        engine = SweepEngine(system, method=method)
-        values = space.sample_values(3, seed=4)
-        s = 2j * math.pi * FREQUENCIES
-        solutions = engine.solve_param_sweep(s, space.names,
-                                             space.admittance_scales(values),
-                                             system.rhs)
-        assert solutions.shape == (3, len(s), system.dimension)
-        for sample in range(3):
-            rebuilt = build_mna_system(space.apply(values[sample]))
-            expected = SweepEngine(rebuilt, method=method).solve_sweep(
-                s, rebuilt.rhs)
-            np.testing.assert_allclose(solutions[sample], expected,
-                                       rtol=1e-9, atol=1e-30)
-        if method == "sparse":
-            assert engine.refactorization_count > 0
-
-    def test_stamp_columns_cached(self):
-        circuit, __ = build_miller_ota()
-        system = build_mna_system(circuit)
-        names = ["M1.gm", "Cc"]
-        first = system.stamp_columns(names)
-        second = system.stamp_columns(names)
-        assert first is second
 
 
 class TestAnalysisLayer:

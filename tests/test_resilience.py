@@ -225,22 +225,6 @@ class TestSweepQuarantineParity:
         assert engine.last_report.stage_counts["fast"] == len(s)
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_solve_param_sweep_bit_identical(self, ladder, method):
-        circuit, __, space = ladder
-        system = build_mna_system(circuit)
-        s = 2j * np.pi * FREQUENCIES[:5]
-        values = space.sample_values(4, seed=1)
-        scales = space.admittance_scales(values)
-        legacy = SweepEngine(system, method=method).solve_param_sweep(
-            s, space.names, scales, system.rhs)
-        engine = SweepEngine(system, method=method)
-        resilient = engine.solve_param_sweep(s, space.names, scales,
-                                             system.rhs,
-                                             on_failure="quarantine")
-        assert np.array_equal(legacy, resilient)
-        assert engine.last_report.ok
-
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
     def test_singular_point_quarantined_not_fatal(self, method):
         circuit = build_driven_floating_at_dc()
         system = build_mna_system(circuit)
@@ -368,6 +352,27 @@ class TestEnsembleQuarantine:
         # Variance attribution stays finite over the survivors.
         for entry in variance_attribution(result):
             assert np.isfinite(entry.share)
+
+    def test_sparse_ensemble_quarantine(self, ladder):
+        # The sparse path's resilient loop: quarantine on a clean run keeps
+        # every bit, and NaN-poisoned samples are named and masked whole.
+        circuit, spec, space = ladder
+        options = dict(samples=8, seed=3, method="sparse")
+        clean = ensemble_sweep(circuit, spec, FREQUENCIES, space, **options)
+        resilient = ensemble_sweep(circuit, spec, FREQUENCIES, space,
+                                   on_failure="quarantine", **options)
+        assert resilient.solver == "sparse"
+        assert np.array_equal(clean.responses, resilient.responses)
+        assert resilient.report.ok
+        assert resilient.report.stage_counts["fast"] == 8 * len(FREQUENCIES)
+        with ensemble_faults({2: "nan", 5: "nan"}):
+            faulted = ensemble_sweep(circuit, spec, FREQUENCIES, space,
+                                     on_failure="quarantine", **options)
+        assert faulted.report.quarantined == [2, 5]
+        assert np.isnan(faulted.responses[[2, 5]]).all()
+        mask = faulted.surviving_mask()
+        assert mask.sum() == 6
+        assert np.array_equal(faulted.responses[mask], clean.responses[mask])
 
     def test_near_singular_sample_flagged_degraded(self, ladder):
         # ε = 1e-7 leaves the matrix comfortably solvable (backward-stable

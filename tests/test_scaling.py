@@ -1,11 +1,10 @@
-"""Post-layout-scale dispatch behavior: cutoff, crossover and streaming.
+"""Post-layout-scale dispatch behavior: cutoff and crossover.
 
 Companions to ``benchmarks/bench_scaling.py`` that must hold on every run
 (no reduced mode): the ``REPRO_DENSE_CUTOFF`` override actually flips the
 dense↔sparse dispatch and is snapshotted per engine construction, the
 sparse path beats the dense path in wall-clock at n ≥ 512 on the RC mesh,
-and the streaming parameter-sweep iterator reproduces the materialized
-solve block for block.
+and the scaling-curve runner reports a consistent crossover.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 from repro.circuits import build_rc_mesh
 from repro.engine.sweep import SweepEngine
 from repro.mna.builder import build_mna_system
-from repro.netlist.elements import Capacitor, Resistor
 
 
 @pytest.fixture(scope="module")
@@ -114,46 +112,3 @@ class TestScalingCurveRunner:
         crossover = result.crossover_dimension("mesh")
         assert crossover is None or crossover in {p.dimension for p in mesh}
         assert "crossover" in result.describe()
-
-
-class TestStreamingParamSweep:
-    """iter_param_sweep streams what solve_param_sweep materializes."""
-
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_blocks_match_materialized(self, method):
-        circuit, __ = build_rc_mesh(5)        # n = 27
-        system = build_mna_system(circuit)
-        names = [element.name for element in circuit
-                 if isinstance(element, (Resistor, Capacitor))][:5]
-        rng = np.random.default_rng(42)
-        scales = 1.0 + 0.1 * rng.standard_normal((6, len(names)))
-        s = 2j * np.pi * np.logspace(2, 8, 4)
-
-        engine = SweepEngine(system, method=method)
-        stacked = engine.solve_param_sweep(s, names, scales, system.rhs)
-        blocks = list(SweepEngine(system, method=method).iter_param_sweep(
-            s, names, scales, system.rhs))
-        assert [sample for sample, __ in blocks] == list(range(len(scales)))
-        for sample, block in blocks:
-            assert block.shape == (len(s), system.dimension)
-            assert np.array_equal(block, stacked[sample]), (method, sample)
-
-    def test_dense_frequency_axis_chunks(self, monkeypatch):
-        # Force the frequency-chunked dense branch (len(s) > budget) and
-        # check it still reproduces the unchunked block bit-for-bit.
-        import repro.engine.sweep as sweep_module
-
-        circuit, __ = build_rc_mesh(4)        # n = 18
-        system = build_mna_system(circuit)
-        names = [element.name for element in circuit
-                 if isinstance(element, (Resistor, Capacitor))][:3]
-        scales = np.array([[1.0, 1.1, 0.9], [0.95, 1.0, 1.05]])
-        s = 2j * np.pi * np.logspace(2, 8, 7)
-
-        reference = SweepEngine(system, method="dense").solve_param_sweep(
-            s, names, scales, system.rhs)
-        monkeypatch.setattr(sweep_module, "sweep_chunk_size", lambda n: 3)
-        chunked = list(SweepEngine(system, method="dense").iter_param_sweep(
-            s, names, scales, system.rhs))
-        for sample, block in chunked:
-            assert np.array_equal(block, reference[sample]), sample
