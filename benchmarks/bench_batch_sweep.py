@@ -44,7 +44,7 @@ def test_batch_sweep_pointwise_cost(benchmark, ua741_admittance):
     circuit, spec = ua741_admittance
     sampler = NetworkFunctionSampler(circuit, spec)
     points = (2j * np.pi * np.logspace(0, 8, 200)).tolist()
-    samples = benchmark(lambda: sampler.sample_many(points, batch=False))
+    samples = benchmark(lambda: [sampler.sample(point) for point in points])
     assert len(samples) == 200
 
 
@@ -54,7 +54,7 @@ def test_batch_sweep_batched_cost(benchmark, ua741_admittance):
     circuit, spec = ua741_admittance
     sampler = NetworkFunctionSampler(circuit, spec)
     points = (2j * np.pi * np.logspace(0, 8, 200)).tolist()
-    samples = benchmark(lambda: sampler.sample_many(points, batch=True))
+    samples = benchmark(lambda: sampler.sample_many(points))
     assert len(samples) == 200
 
 

@@ -47,7 +47,7 @@ from .montecarlo import (
     ensemble_sweep,
 )
 from .symbolic import CompiledTransferModel, compile_transfer_model
-from .nodal import TransferSpec, NetworkFunctionSampler, BatchSampler
+from .nodal import TransferSpec, NetworkFunctionSampler
 from .interpolation import (
     AdaptiveOptions,
     AdaptiveScalingInterpolator,
@@ -87,7 +87,6 @@ __all__ = [
     "compile_transfer_model",
     "TransferSpec",
     "NetworkFunctionSampler",
-    "BatchSampler",
     "AdaptiveOptions",
     "AdaptiveScalingInterpolator",
     "NumericalReference",

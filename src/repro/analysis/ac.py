@@ -18,8 +18,8 @@ import numpy as np
 
 from ..errors import FormulationError
 from ..mna.builder import build_mna_system
-from ..mna.solve import _factor, ac_sweep as mna_ac_sweep
-from ..nodal.reduce import TransferSpec
+from ..mna.solve import ac_sweep as mna_ac_sweep, operating_transfer
+from ..nodal.reduce import _normalize_output
 
 __all__ = ["ACAnalysis", "ac_sweep"]
 
@@ -51,11 +51,7 @@ class ACAnalysis:
 
     def __init__(self, circuit, output, method="auto", session=None):
         self.circuit = circuit
-        if isinstance(output, TransferSpec):
-            positive, negative = output.output_nodes()
-            self.output = positive if negative is None else (positive, negative)
-        else:
-            self.output = output
+        self.output = _normalize_output(output)
         self.method = method
         self._session = session
         if session is not None:
@@ -72,15 +68,10 @@ class ACAnalysis:
 
     def value_at(self, s) -> complex:
         """Output voltage (per the circuit's own excitation) at complex ``s``."""
-        matrix = self.system.assemble(s)
-        factorization = _factor(matrix, self.method)
+        value = operating_transfer(self.system, s, self.output,
+                                   method=self.method)
         self.factorization_count += 1
-        solution = factorization.solve(self.system.rhs)
-        if isinstance(self.output, (tuple, list)):
-            positive, negative = self.output
-            return (self.system.node_voltage(solution, positive)
-                    - self.system.node_voltage(solution, negative))
-        return self.system.node_voltage(solution, self.output)
+        return value
 
     def frequency_response(self, frequencies) -> np.ndarray:
         """Complex output over an array of frequencies in hertz (batched)."""

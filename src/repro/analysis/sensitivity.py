@@ -41,8 +41,8 @@ import numpy as np
 from ..errors import FormulationError, SingularMatrixError
 from ..mna.builder import build_mna_system
 from ..mna.solve import ac_factor_sweep
-from ..netlist.elements import Capacitor, Conductor, GROUND, Resistor, VCCS
-from ..nodal.reduce import TransferSpec
+from ..netlist.elements import Capacitor, Conductor, Resistor, VCCS
+from ..nodal.reduce import _normalize_output, _output_terms, _project_output
 from .ac import ACAnalysis
 
 __all__ = ["ElementInfluence", "ElementScreening", "ScreeningResult",
@@ -133,35 +133,6 @@ def _relative_error(reference, candidate):
     candidate = np.asarray(candidate, dtype=complex)
     scale = np.maximum(np.abs(reference), np.finfo(float).tiny)
     return float(np.max(np.abs(candidate - reference) / scale))
-
-
-def _normalize_output(output):
-    """Resolve a TransferSpec / pair / node name into ACAnalysis's output form."""
-    if isinstance(output, TransferSpec):
-        positive, negative = output.output_nodes()
-        return positive if negative is None else (positive, negative)
-    return output
-
-
-def _output_terms(system, output):
-    """``(solution index, sign)`` pairs whose weighted sum is the output."""
-    if isinstance(output, (tuple, list)):
-        positive, negative = output
-        return [(system.node_index(node), sign)
-                for node, sign in ((positive, 1.0), (negative, -1.0))
-                if node != GROUND]
-    if output == GROUND:
-        return []
-    return [(system.node_index(output), 1.0)]
-
-
-def _project_output(terms, solutions):
-    """Output voltage over a ``(K, n)`` or ``(K, n, E)`` solution stack."""
-    shape = solutions.shape[:1] + solutions.shape[2:]
-    result = np.zeros(shape, dtype=complex)
-    for index, sign in terms:
-        result += sign * solutions[:, index]
-    return result
 
 
 def _screen_rebuild_one(circuit, output, frequencies, name,

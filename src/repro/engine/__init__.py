@@ -17,8 +17,9 @@ conditions".  This package owns that machinery once, for every formulation:
   LU, numeric refactorization with pivot-pattern reuse, and
   :class:`~repro.engine.sweep.SweepFactors` (kept factors with batched
   ``solve`` / ``solve_columns`` and bit-exact per-point member views).
-  ``mna.ac_sweep`` / ``ac_factor_sweep``, ``nodal.BatchSampler`` and the
-  rank-1 sensitivity screening are thin adapters over this module.
+  ``mna.ac_sweep`` / ``ac_factor_sweep``, the sweeps of
+  ``nodal.NetworkFunctionSampler`` and the rank-1 sensitivity screening are
+  thin adapters over this module.
 * :mod:`repro.engine.session` — :class:`~repro.engine.session.AnalysisSession`,
   a circuit-keyed (content-hashed) cache of built formulations, sweep
   factorizations and numerical references, so chained workloads — Bode, then

@@ -10,7 +10,7 @@ stage already built gets the cached object back:
 
 * assembled :class:`~repro.mna.builder.MnaSystem` /
   :class:`~repro.nodal.admittance.NodalFormulation` instances,
-* kept sweep factorizations (:class:`~repro.mna.solve.SweepFactorization`),
+* kept sweep factorizations (:class:`~repro.engine.sweep.SweepFactors`),
   the expensive part of every AC / screening pass,
 * :class:`~repro.nodal.sampler.NetworkFunctionSampler` instances (which carry
   their own batch engine and pivot pattern),
@@ -180,7 +180,7 @@ class AnalysisSession:
         snapshot was taken, so the factors always match the snapshot rather
         than the circuit's current content.
         """
-        from ..mna.solve import SweepFactorization
+        from ..mna.solve import ac_factor_sweep
 
         if fingerprint is None:
             fingerprint = self.fingerprint(circuit)
@@ -191,8 +191,7 @@ class AnalysisSession:
         s = np.asarray(list(s_values), dtype=complex)
         key = (fingerprint, s.tobytes(), method)
         sweep = self._get(self._sweeps, key,
-                          lambda: SweepFactorization(system, s,
-                                                     method=method))
+                          lambda: ac_factor_sweep(system, s, method=method))
         # LRU bookkeeping: refresh the entry's position, drop the oldest
         # grids beyond the count and estimated-memory retention bounds
         # (never the entry just requested).

@@ -24,8 +24,8 @@ owns the whole strategy:
 shape of ``ac_sweep``); :class:`SweepFactors` keeps them (the shape of
 ``ac_factor_sweep`` and the rank-1 screening, where every subsequent solve
 costs O(n²) instead of an O(n³) refactorization).  The MNA sweeps
-(:mod:`repro.mna.solve`), the interpolation batch sampler
-(:mod:`repro.nodal.batch`), the sensitivity engine
+(:mod:`repro.mna.solve`), the interpolation sampler's sweeps
+(:mod:`repro.nodal.sampler`), the sensitivity engine
 (:mod:`repro.analysis.sensitivity`) and the sparse path of the Monte Carlo
 ensemble (:mod:`repro.montecarlo.engine`) are all thin adapters over this
 module.
@@ -103,8 +103,9 @@ class SweepEngine:
         mixes backends when the environment changes mid-life).
 
     The engine instance carries the sparse pivot pattern across calls, so a
-    long-lived engine (e.g. inside a :class:`~repro.nodal.batch.BatchSampler`)
-    keeps refactoring cheaply from one sweep to the next.
+    long-lived engine (e.g. a
+    :class:`~repro.nodal.sampler.NetworkFunctionSampler`'s) keeps
+    refactoring cheaply from one sweep to the next.
     """
 
     def __init__(self, formulation, method="auto", singular_label="matrix",

@@ -154,6 +154,13 @@ def interpolate_polynomial(sampler, kind="denominator",
         num_points = sampler.max_polynomial_degree() + 1
     points = unit_circle_points(num_points)
     samples = sampler.sample_many(points, factors.conductance, factors.frequency)
+    return _interpolate(sampler, kind, samples, factors, significant_digits,
+                        dft_method)
+
+
+def _interpolate(sampler, kind, samples, factors, significant_digits,
+                 dft_method) -> InterpolationResult:
+    """Inverse DFT and valid region of one polynomial's ``samples``."""
     pairs = [getattr(sample, kind) for sample in samples]
     values, exponent = inverse_dft_scaled(pairs, method=dft_method)
     admittance_order = (sampler.formulation.denominator_admittance_order
@@ -166,7 +173,7 @@ def interpolate_polynomial(sampler, kind="denominator",
     return InterpolationResult(
         kind=kind,
         factors=factors,
-        num_points=num_points,
+        num_points=len(samples),
         normalized=values,
         common_exponent=exponent,
         admittance_order=admittance_order,
@@ -201,27 +208,8 @@ def interpolate_network_function(circuit, spec, factors=ScaleFactors(),
         num_points = sampler.max_polynomial_degree() + 1
     points = unit_circle_points(num_points)
     samples = sampler.sample_many(points, factors.conductance, factors.frequency)
-
-    results = {}
-    for kind in ("numerator", "denominator"):
-        pairs = [getattr(sample, kind) for sample in samples]
-        values, exponent = inverse_dft_scaled(pairs, method=dft_method)
-        admittance_order = (sampler.formulation.denominator_admittance_order
-                            if kind == "denominator"
-                            else sampler.formulation.numerator_admittance_order)
-        try:
-            region = find_valid_region(values, exponent, significant_digits)
-        except InterpolationError:
-            region = None
-        results[kind] = InterpolationResult(
-            kind=kind,
-            factors=factors,
-            num_points=num_points,
-            normalized=values,
-            common_exponent=exponent,
-            admittance_order=admittance_order,
-            region=region,
-            significant_digits=significant_digits,
-        )
-    return NetworkInterpolation(numerator=results["numerator"],
-                                denominator=results["denominator"])
+    return NetworkInterpolation(
+        numerator=_interpolate(sampler, "numerator", samples, factors,
+                               significant_digits, dft_method),
+        denominator=_interpolate(sampler, "denominator", samples, factors,
+                                 significant_digits, dft_method))

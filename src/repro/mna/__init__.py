@@ -10,9 +10,7 @@ any transformation.
 """
 
 from .builder import MnaSystem, build_mna_system, system_dimension
-from .solve import (ac_factor_sweep, ac_solve, ac_sweep, operating_transfer,
-                    SweepFactorization)
+from .solve import ac_factor_sweep, ac_solve, ac_sweep, operating_transfer
 
 __all__ = ["MnaSystem", "build_mna_system", "system_dimension", "ac_solve",
-           "ac_sweep", "ac_factor_sweep", "SweepFactorization",
-           "operating_transfer"]
+           "ac_sweep", "ac_factor_sweep", "operating_transfer"]

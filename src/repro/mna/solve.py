@@ -17,13 +17,10 @@ import numpy as np
 
 from ..engine.sweep import SweepEngine, SweepFactors
 from ..errors import FormulationError
-from ..linalg.config import use_dense
-from ..linalg.dense import dense_lu
-from ..linalg.lu import sparse_lu
+from ..linalg import det
 from .builder import MnaSystem, build_mna_system
 
-__all__ = ["ac_solve", "ac_sweep", "ac_factor_sweep", "SweepFactorization",
-           "operating_transfer"]
+__all__ = ["ac_solve", "ac_sweep", "ac_factor_sweep", "operating_transfer"]
 
 #: Noun used in singular-matrix diagnostics from MNA sweeps.
 _SINGULAR_LABEL = "MNA matrix"
@@ -32,9 +29,7 @@ _SINGULAR_LABEL = "MNA matrix"
 def _factor(matrix, method="auto"):
     if method not in ("auto", "dense", "sparse"):
         raise FormulationError(f"unknown factorization method {method!r}")
-    if use_dense(matrix.n_rows, method):
-        return dense_lu(matrix)
-    return sparse_lu(matrix)
+    return det._factor(matrix, method)
 
 
 def ac_solve(system: Union[MnaSystem, "object"], s, method="auto") -> np.ndarray:
@@ -86,45 +81,27 @@ def ac_sweep(system: Union[MnaSystem, "object"], s_values,
     return engine.solve_sweep(s, system.rhs)
 
 
-class SweepFactorization(SweepFactors):
-    """Cached LU factors of ``A(s_k)`` across one whole MNA frequency sweep.
+def ac_factor_sweep(system: Union[MnaSystem, "object"], s_values,
+                    method="auto") -> SweepFactors:
+    """Factor the MNA system at every point of a sweep and keep the factors.
 
-    The MNA-flavoured :class:`~repro.engine.sweep.SweepFactors`: constructing
-    it factors the system at every sweep point through the shared engine and
-    keeps the factors for O(n²)-per-right-hand-side reuse (the rank-1
-    sensitivity screening's baseline).  Build via :func:`ac_factor_sweep`.
+    ``system`` may be an :class:`MnaSystem` or a circuit (built on the fly).
+    The returned :class:`~repro.engine.sweep.SweepFactors` serves repeated
+    solves against the same sweep at O(n²) per right-hand side (the rank-1
+    sensitivity screening's baseline); its solutions are bit-identical to
+    :func:`ac_sweep`.
 
     Raises
     ------
     SingularMatrixError
-        On construction, when the baseline matrix is singular at some sweep
-        point (matching :func:`ac_sweep`).
-    """
-
-    def __init__(self, system, s_values, method="auto"):
-        engine = SweepEngine(system, method=method,
-                             singular_label=_SINGULAR_LABEL)
-        factors = engine.factor_sweep(np.asarray(list(s_values),
-                                                 dtype=complex))
-        super().__init__(system, factors.s_values, factors.is_dense,
-                         factors.factors)
-
-    @property
-    def system(self):
-        """The underlying :class:`MnaSystem` (alias of ``formulation``)."""
-        return self.formulation
-
-
-def ac_factor_sweep(system: Union[MnaSystem, "object"], s_values,
-                    method="auto") -> SweepFactorization:
-    """Factor the MNA system at every point of a sweep and keep the factors.
-
-    ``system`` may be an :class:`MnaSystem` or a circuit (built on the fly).
-    See :class:`SweepFactorization`.
+        When the matrix is singular at some sweep point (matching
+        :func:`ac_sweep`).
     """
     if not isinstance(system, MnaSystem):
         system = build_mna_system(system)
-    return SweepFactorization(system, s_values, method=method)
+    engine = SweepEngine(system, method=method,
+                         singular_label=_SINGULAR_LABEL)
+    return engine.factor_sweep(s_values)
 
 
 def operating_transfer(system: Union[MnaSystem, "object"], s, output,

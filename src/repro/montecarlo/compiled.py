@@ -36,8 +36,8 @@ import numpy as np
 from ..errors import FormulationError
 from ..netlist.elements import (Capacitor, Conductor, CurrentSource, Inductor,
                                 Resistor, VCCS, VoltageSource)
-from ..nodal.reduce import TransferSpec
-from .engine import EnsembleResult, _normalize_output
+from ..nodal.reduce import TransferSpec, _normalize_output
+from .engine import EnsembleResult
 from .space import ParameterSpace
 
 __all__ = [

@@ -45,13 +45,12 @@ import numpy as np
 
 from ..engine.resilience import (SolvePolicy, SweepReport,
                                  merge_shard_report, solve_stack_resilient)
-from ..engine.sweep import SweepEngine
+from ..engine.sweep import _METHODS, SweepEngine
 from ..errors import (FormulationError, SingularMatrixError,
                       SolveFailureError)
 from ..linalg.dense import batched_dense_lu, batched_solve
 from ..mna.builder import build_mna_system
-from ..netlist.elements import GROUND
-from ..nodal.reduce import TransferSpec
+from ..nodal.reduce import _normalize_output, _output_terms, _project_output
 from .program import ValueProgram
 from .space import ParameterSpace
 from .statistics import (DEFAULT_HISTOGRAM_BINS, DEFAULT_HISTOGRAM_RANGE,
@@ -74,43 +73,6 @@ def _ensemble_chunk_matrices(dimension) -> int:
     """Matrices per assemble/factor/solve chunk of the ensemble engine."""
     dimension = max(1, int(dimension))
     return max(1, _ENSEMBLE_CHUNK_ELEMENTS // (dimension * dimension))
-
-
-def _normalize_output(output):
-    """Resolve a TransferSpec / pair / node name into an output description."""
-    if isinstance(output, TransferSpec):
-        positive, negative = output.output_nodes()
-        return positive if negative is None else (positive, negative)
-    return output
-
-
-def _output_terms(system, output):
-    """``(solution index, sign)`` pairs whose weighted sum is the output."""
-    output = _normalize_output(output)
-    if isinstance(output, (tuple, list)):
-        positive, negative = output
-        return [(system.node_index(node), sign)
-                for node, sign in ((positive, 1.0), (negative, -1.0))
-                if node != GROUND]
-    if output == GROUND:
-        return []
-    return [(system.node_index(output), 1.0)]
-
-
-def _project(terms, solutions):
-    """Output voltage over a ``(K, n)`` solution stack.
-
-    The same slice-then-subtract arithmetic as
-    :meth:`~repro.mna.builder.MnaSystem.node_voltages`, so projections match
-    the rebuild path bit-for-bit.
-    """
-    result = np.zeros(solutions.shape[0], dtype=complex)
-    for index, sign in terms:
-        if sign == 1.0:
-            result = result + solutions[:, index]
-        else:
-            result = result - solutions[:, index]
-    return result
 
 
 @dataclasses.dataclass
@@ -275,8 +237,8 @@ def _dense_ensemble(system, program, s, values, terms, solver,
             indexer=lambda member: (
                 sample,
                 f"ensemble member {sample} at sweep point {start + member}"))
-        responses[sample, start:start + len(block)] = _project(terms,
-                                                               solutions)
+        responses[sample, start:start + len(block)] = _project_output(
+            terms, solutions)
 
     def run_block(start, samples_per_chunk):
         """One group of whole samples (num_points <= chunk)."""
@@ -302,7 +264,7 @@ def _dense_ensemble(system, program, s, values, terms, solver,
                 f"sweep point {member % num_points}"))
         for position, sample in enumerate(block):
             rows = solutions[position * num_points:(position + 1) * num_points]
-            responses[sample] = _project(terms, rows)
+            responses[sample] = _project_output(terms, rows)
 
     if num_points > chunk:
         # A single sample's sweep exceeds the chunk budget: keep samples
@@ -381,7 +343,7 @@ def _sparse_ensemble(engine, program, s, values, terms, policy=None,
                     # ensemble_sweep masks or raises the whole sample.
                     break
                 solutions[k] = solution
-        responses[sample] = _project(terms, solutions)
+        responses[sample] = _project_output(terms, solutions)
     return responses
 
 
@@ -678,6 +640,8 @@ def rebuild_sweep(circuit, output, frequencies, space=None, *, values=None,
     """
     if solver not in _SOLVERS:
         raise FormulationError(f"unknown ensemble solver {solver!r}")
+    if method not in _METHODS:
+        raise FormulationError(f"unknown factorization method {method!r}")
     from ..analysis.ac import ACAnalysis
 
     if space is None:
@@ -698,8 +662,8 @@ def rebuild_sweep(circuit, output, frequencies, space=None, *, values=None,
             system = build_mna_system(perturbed)
             stack = system.assemble_batch(2j * math.pi * frequencies)
             solutions = batched_solve(stack, system.rhs)
-            responses[sample] = _project(_output_terms(system, output),
-                                         solutions)
+            responses[sample] = _project_output(
+                _output_terms(system, output), solutions)
     return EnsembleResult(frequencies=frequencies, values=values,
                           responses=responses, space=space,
                           output=_normalize_output(output), solver=solver)

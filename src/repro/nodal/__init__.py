@@ -12,21 +12,18 @@ conductances, capacitances and VCCS elements.
 * :mod:`repro.nodal.reduce` defines the :class:`~repro.nodal.reduce.TransferSpec`
   (which sources drive the circuit, which node — or node pair — is observed),
 * :mod:`repro.nodal.sampler` evaluates numerator and denominator samples with
-  frequency / conductance scaling and exponent tracking,
-* :mod:`repro.nodal.batch` evaluates whole frequency sweeps at once, reusing
-  the assembled ``G`` / ``C`` parts and the factorization structure across
-  every point.
+  frequency / conductance scaling and exponent tracking, one point at a time
+  or whole frequency sweeps at once (reusing the assembled ``G`` / ``C``
+  parts and the factorization structure across every point).
 """
 
 from .admittance import NodalFormulation, build_nodal_formulation
-from .batch import BatchSampler
 from .reduce import TransferSpec
 from .sampler import NetworkFunctionSampler, SampleValue
 
 __all__ = [
     "NodalFormulation",
     "build_nodal_formulation",
-    "BatchSampler",
     "TransferSpec",
     "NetworkFunctionSampler",
     "SampleValue",

@@ -25,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..errors import FormulationError, UnknownElementError
 from ..netlist.circuit import Circuit
 from ..netlist.elements import GROUND, CurrentSource, VoltageSource
@@ -120,3 +122,41 @@ class TransferSpec:
         pos, neg = self.output_nodes()
         output = pos if neg is None else f"{pos}-{neg}"
         return f"H(s) = V({output}) / drive({', '.join(self.inputs)})"
+
+
+def _normalize_output(output):
+    """Resolve a TransferSpec / pair / node name into an output description."""
+    if isinstance(output, TransferSpec):
+        positive, negative = output.output_nodes()
+        return positive if negative is None else (positive, negative)
+    return output
+
+
+def _output_terms(system, output):
+    """``(solution index, sign)`` pairs whose weighted sum is the output."""
+    output = _normalize_output(output)
+    if isinstance(output, (tuple, list)):
+        positive, negative = output
+        return [(system.node_index(node), sign)
+                for node, sign in ((positive, 1.0), (negative, -1.0))
+                if node != GROUND]
+    if output == GROUND:
+        return []
+    return [(system.node_index(output), 1.0)]
+
+
+def _project_output(terms, solutions):
+    """Output voltage over a ``(K, n)`` or ``(K, n, E)`` solution stack.
+
+    The same slice-then-subtract arithmetic as
+    :meth:`~repro.mna.builder.MnaSystem.node_voltages`, so projections match
+    the rebuild path bit-for-bit.
+    """
+    result = np.zeros(solutions.shape[:1] + solutions.shape[2:],
+                      dtype=complex)
+    for index, sign in terms:
+        if sign == 1.0:
+            result = result + solutions[:, index]
+        else:
+            result = result - solutions[:, index]
+    return result

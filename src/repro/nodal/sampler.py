@@ -11,11 +11,16 @@ exponent)`` pairs (see :class:`SampleValue`); the DFT stage later rescales a
 whole batch of samples by a common power of ten.
 
 Multi-point evaluation (:meth:`NetworkFunctionSampler.sample_many`,
-:meth:`NetworkFunctionSampler.frequency_response`) routes through the batched
-engine of :mod:`repro.nodal.batch`, which assembles the frequency-independent
-and frequency-proportional matrix parts once per sweep and reuses the
-factorization structure across all points; pass ``batch=False`` to force the
-original one-point-at-a-time loop (used by benchmarks and equivalence tests).
+:meth:`NetworkFunctionSampler.frequency_response`) runs through the sampler's
+:class:`~repro.engine.sweep.SweepEngine`, which assembles the
+frequency-independent (``G``) and frequency-proportional (``C``) parts once
+per sweep and shares the factorization work across all points: dense systems
+are factored one vectorized elimination per chunk and sampled through scalar
+member views, so every sample is bit-for-bit the one :meth:`sample` produces;
+sparse systems replay one compiled pivot order over chunks of points, with
+one vectorized determinant and one vectorized solve per chunk.
+:meth:`NetworkFunctionSampler.sample` stays the per-point path and the oracle
+the equivalence tests compare the sweeps against.
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.sweep import SweepEngine
 from ..errors import InterpolationError
-from ..linalg.config import use_dense
-from ..linalg.dense import dense_lu
-from ..linalg.lu import sparse_lu
+from ..linalg.det import _factor
 from .admittance import NodalFormulation, build_nodal_formulation
 from .reduce import TransferSpec
 
@@ -103,7 +107,10 @@ class NetworkFunctionSampler:
         #: sweeps count one factorization per point, whether the work was done
         #: by the vectorized stack LU or by structure-reusing refactorization.
         self.factorization_count = 0
-        self._batch_sampler = None
+        #: The :class:`~repro.engine.sweep.SweepEngine` of :meth:`sample_many`.
+        #: It persists across calls, so the sparse pivot pattern (and the
+        #: cached matrix structure) carries from one sweep to the next.
+        self.engine = SweepEngine(self.formulation, method=method)
 
     # ------------------------------------------------------------------ #
 
@@ -118,9 +125,7 @@ class NetworkFunctionSampler:
 
     def _factor(self, matrix):
         self.factorization_count += 1
-        if use_dense(matrix.n_rows, self.method):
-            return dense_lu(matrix)
-        return sparse_lu(matrix)
+        return _factor(matrix, self.method)
 
     # ------------------------------------------------------------------ #
 
@@ -131,59 +136,103 @@ class NetworkFunctionSampler:
         so the polynomial recovered from these samples has the normalized
         coefficients ``p'_i`` of Eq. (11).
         """
-        formulation = self.formulation
-        matrix = formulation.assemble(s, conductance_scale, frequency_scale)
+        matrix = self.formulation.assemble(s, conductance_scale,
+                                           frequency_scale)
         factorization = self._factor(matrix)
-        det_mantissa, det_exponent = factorization.determinant_mantissa_exponent()
-        if det_mantissa == 0:
-            return SampleValue(s=complex(s), numerator=(0.0 + 0.0j, 0),
-                               denominator=(0.0 + 0.0j, 0))
-
-        if formulation.output_is_forced():
-            rhs = None
-            transfer = formulation.output_voltage(
-                np.zeros(formulation.dimension, dtype=complex)
-            )
-        else:
-            rhs = formulation.rhs(s, conductance_scale, frequency_scale)
-            solution = factorization.solve(rhs)
-            transfer = formulation.output_voltage(solution)
-
-        numerator = _scaled_value(transfer * det_mantissa, det_exponent)
-        denominator = (det_mantissa, det_exponent)
-        return SampleValue(s=complex(s), numerator=numerator,
-                           denominator=denominator)
+        return self._make_sample(
+            s, factorization.determinant_mantissa_exponent(),
+            self._forced_transfer(), factorization.solve,
+            conductance_scale, frequency_scale)
 
     def sample_many(self, points, conductance_scale=1.0,
-                    frequency_scale=1.0, batch=True) -> List[SampleValue]:
+                    frequency_scale=1.0) -> List[SampleValue]:
         """Evaluate at every point of ``points`` (a sequence of complex values).
 
-        Results preserve the input order.  With ``batch=True`` (the default)
-        the sweep runs through the batched engine
-        (:class:`~repro.nodal.batch.BatchSampler`): the matrix parts are
-        assembled once and the factorization structure is shared across all
-        points.  ``batch=False`` evaluates one point at a time via
-        :meth:`sample` — same results, used as the baseline in benchmarks and
-        equivalence tests.
+        Results preserve the input order, one :class:`SampleValue` per point.
+        A sweep of two or more points runs through :attr:`engine`: the matrix
+        parts are assembled once and the factorization work is shared across
+        all points.  Dense samples are bit-for-bit the ones :meth:`sample`
+        produces; sparse ones agree to rounding (the sweep reuses one pivot
+        order where :meth:`sample` searches afresh at every point).
+
+        Raises
+        ------
+        SingularMatrixError
+            When the scaled matrix of a sweep is singular at some point.
         """
         points = list(points)
-        if batch and len(points) > 1:
-            batch_sampler = self.batch_sampler()
-            samples = batch_sampler.sample_batch(points, conductance_scale,
-                                                 frequency_scale)
-            self.factorization_count += len(points)
-            return samples
-        return [self.sample(point, conductance_scale, frequency_scale)
-                for point in points]
+        if len(points) < 2:
+            return [self.sample(point, conductance_scale, frequency_scale)
+                    for point in points]
+        s = np.asarray(points, dtype=complex)
+        forced = self._forced_transfer()
+        samples = []
+        if self.engine.is_dense:
+            for start, factorization in self.engine.dense_chunks(
+                    s, conductance_scale, frequency_scale):
+                # The O(M^3) elimination ran once, vectorized over the chunk;
+                # determinant accumulation and substitution (O(M) / O(M^2)
+                # per point) go through scalar DenseLU views so every sample
+                # is bit-for-bit the one the per-point path produces.
+                for k, point in enumerate(
+                        s[start:start + factorization.batch]):
+                    member = factorization.member(k)
+                    samples.append(self._make_sample(
+                        point, member.determinant_mantissa_exponent(),
+                        forced, member.solve, conductance_scale,
+                        frequency_scale))
+        else:
+            if forced is None:
+                rhs_stack = self.formulation.rhs_batch(s, conductance_scale,
+                                                       frequency_scale)
+            for start, factors in self.engine.sparse_factors(
+                    s, conductance_scale, frequency_scale):
+                stop = start + factors.batch
+                mantissas, exponents = factors.determinants_mantissa_exponent()
+                if forced is None:
+                    transfers = [self.formulation.output_voltage(solution)
+                                 for solution in factors.solve(
+                                     rhs_stack[start:stop])]
+                else:
+                    transfers = [forced] * factors.batch
+                # Release the chunk before the engine factors the next one.
+                del factors
+                for point, mantissa, exponent, transfer in zip(
+                        s[start:stop], mantissas.tolist(), exponents.tolist(),
+                        transfers):
+                    samples.append(self._make_sample(
+                        point, (mantissa, exponent), transfer))
+        self.factorization_count += len(points)
+        return samples
 
-    def batch_sampler(self):
-        """The cached :class:`~repro.nodal.batch.BatchSampler` for this circuit."""
-        if self._batch_sampler is None:
-            from .batch import BatchSampler
+    def _forced_transfer(self):
+        """The constant output voltage when it is forced, else ``None``."""
+        if not self.formulation.output_is_forced():
+            return None
+        return self.formulation.output_voltage(
+            np.zeros(self.formulation.dimension, dtype=complex))
 
-            self._batch_sampler = BatchSampler(self.formulation,
-                                               method=self.method)
-        return self._batch_sampler
+    def _make_sample(self, point, det, transfer, solve=None,
+                     conductance_scale=1.0, frequency_scale=1.0):
+        """One :class:`SampleValue` from a determinant plus transfer source.
+
+        Either ``transfer`` is the output voltage already, or ``solve`` is a
+        per-point solver applied to the right-hand side assembled from the
+        scales — only once the determinant is known to be non-zero.
+        """
+        det_mantissa, det_exponent = det
+        if det_mantissa == 0:
+            return SampleValue(s=complex(point), numerator=(0.0 + 0.0j, 0),
+                               denominator=(0.0 + 0.0j, 0))
+        if transfer is None:
+            rhs = self.formulation.rhs(point, conductance_scale,
+                                       frequency_scale)
+            transfer = self.formulation.output_voltage(solve(rhs))
+        return SampleValue(
+            s=complex(point),
+            numerator=_scaled_value(transfer * det_mantissa, det_exponent),
+            denominator=(det_mantissa, det_exponent),
+        )
 
     def transfer_value(self, s) -> complex:
         """Exact (unscaled) ``H(s)`` at a single complex frequency.

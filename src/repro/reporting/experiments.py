@@ -405,12 +405,12 @@ def run_batch_sweep(num_points=200, circuits=None, method="auto",
             # reported speedup is a cold-sweep number, not a warm-cache one.
             sampler = NetworkFunctionSampler(admittance, spec, method=method)
             start = time.perf_counter()
-            pointwise = sampler.sample_many(points, batch=False)
+            pointwise = [sampler.sample(point) for point in points]
             pointwise_seconds = min(pointwise_seconds,
                                     time.perf_counter() - start)
             sampler = NetworkFunctionSampler(admittance, spec, method=method)
             start = time.perf_counter()
-            batched = sampler.sample_many(points, batch=True)
+            batched = sampler.sample_many(points)
             batched_seconds = min(batched_seconds,
                                   time.perf_counter() - start)
         reference = np.array([sample.transfer() for sample in pointwise])

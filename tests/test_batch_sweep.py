@@ -17,7 +17,6 @@ from repro.linalg.sparse import SparseMatrix
 from repro.mna.builder import build_mna_system
 from repro.mna.solve import ac_solve, ac_sweep
 from repro.netlist.transform import to_admittance_form
-from repro.nodal.batch import BatchSampler
 from repro.nodal.sampler import NetworkFunctionSampler
 from repro.xfloat import XFloat
 
@@ -120,10 +119,10 @@ class TestSampleManyEquivalence:
         for circuit, spec in fixtures:
             sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec)
             points = _random_grid(rng)
-            pointwise = sampler.sample_many(points, conductance_scale,
-                                            frequency_scale, batch=False)
+            pointwise = [sampler.sample(point, conductance_scale,
+                                        frequency_scale) for point in points]
             batched = sampler.sample_many(points, conductance_scale,
-                                          frequency_scale, batch=True)
+                                          frequency_scale)
             for expected, got in zip(pointwise, batched):
                 assert got.numerator == expected.numerator
                 assert got.denominator == expected.denominator
@@ -143,8 +142,8 @@ class TestSampleManyEquivalence:
         circuit, spec = build_rc_ladder(24)
         sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec)
         points = _random_grid(np.random.default_rng(6), count=12)
-        pointwise = sampler.sample_many(points, 1.0, 1e9, batch=False)
-        batched = sampler.sample_many(points, 1.0, 1e9, batch=True)
+        pointwise = [sampler.sample(point, 1.0, 1e9) for point in points]
+        batched = sampler.sample_many(points, 1.0, 1e9)
         for expected, got in zip(pointwise, batched):
             assert got.denominator == expected.denominator
             assert got.numerator == expected.numerator
@@ -164,23 +163,20 @@ class TestSampleManyEquivalence:
         sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec,
                                          method="sparse")
         points = _random_grid(np.random.default_rng(8), count=15)
-        pointwise = sampler.sample_many(points, batch=False)
-        batched = sampler.sample_many(points, batch=True)
+        pointwise = [sampler.sample(point) for point in points]
+        batched = sampler.sample_many(points)
         reference = np.array([sample.transfer() for sample in pointwise])
         values = np.array([sample.transfer() for sample in batched])
         assert np.max(np.abs(values - reference)
                       / np.abs(reference)) <= 1e-9
-        batch_sampler = sampler.batch_sampler()
-        assert batch_sampler.factorization_count == 1
-        assert batch_sampler.refactorization_count == len(points) - 1
+        assert sampler.engine.factorization_count == 1
+        assert sampler.engine.refactorization_count == len(points) - 1
 
-    def test_batch_sampler_direct_api(self, rc_ladder_3):
+    def test_frequency_response_matches_transfer_value(self, rc_ladder_3):
         circuit, spec = rc_ladder_3[:2]
-        admittance = to_admittance_form(circuit)
-        batch_sampler = BatchSampler(admittance, spec)
+        sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec)
         frequencies = np.logspace(2, 7, 30)
-        response = batch_sampler.frequency_response(frequencies)
-        sampler = NetworkFunctionSampler(admittance, spec)
+        response = sampler.frequency_response(frequencies)
         expected = np.array([sampler.transfer_value(2j * math.pi * f)
                              for f in frequencies])
         assert np.array_equal(response, expected)

@@ -142,7 +142,8 @@ class TestEnsembleMethodValidation:
         from repro.errors import FormulationError
         from repro.montecarlo import (ParameterSpace,
                                       checkpointed_ensemble_sweep,
-                                      ensemble_sweep, parallel_ensemble_sweep)
+                                      ensemble_sweep, parallel_ensemble_sweep,
+                                      rebuild_sweep)
 
         circuit, spec = build_rc_ladder(3)
         names = [element.name for element in circuit
@@ -163,6 +164,10 @@ class TestEnsembleMethodValidation:
                                         method="sparce")
         # Nothing was checkpointed under the misspelled method.
         assert not path.exists()
+        for solver in ("lu", "lapack"):
+            with pytest.raises(FormulationError, match=unknown):
+                rebuild_sweep(circuit, spec, frequencies, space, samples=2,
+                              solver=solver, method="sparce")
 
 
 class TestExperimentErrorPaths:

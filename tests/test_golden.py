@@ -202,9 +202,8 @@ def test_batched_sampler_bit_parity(name, builder):
     admittance = to_admittance_form(circuit)
     sampler = NetworkFunctionSampler(admittance, spec)
     points = (2j * np.pi * np.logspace(1.0, 7.0, 7)).tolist()
-    batched = sampler.sample_many(points, batch=True)
-    pointwise = NetworkFunctionSampler(admittance, spec).sample_many(
-        points, batch=False)
+    batched = sampler.sample_many(points)
+    pointwise = [sampler.sample(point) for point in points]
     from repro.linalg.config import dense_cutoff
 
     exact = sampler.dimension <= dense_cutoff()

@@ -207,7 +207,7 @@ class TestElementStamps:
         np.testing.assert_allclose(solution, expected, rtol=1e-9)
 
 
-class TestSweepFactorization:
+class TestAcFactorSweep:
     def test_solve_matches_ac_sweep(self, ua741):
         circuit, __ = ua741
         system = build_mna_system(circuit)
