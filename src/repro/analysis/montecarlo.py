@@ -16,7 +16,7 @@ designer asks of a tolerance run —
   specifications (:func:`yield_analysis`, :class:`YieldSpec`).
 
 Results are cacheable in an :class:`~repro.engine.session.AnalysisSession`
-under ``(circuit fingerprint, space, seed, grid, solver)`` — see
+under ``(circuit fingerprint, space, seed, grid, method)`` — see
 :meth:`repro.engine.session.AnalysisSession.montecarlo`.
 """
 
@@ -252,9 +252,9 @@ class MonteCarloResult:
 
 def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
                          samples=128, seed=0, tolerances=None,
-                         solver="lapack", method="auto", workers=None,
-                         processes=None, session=None, on_failure="raise",
-                         policy=None, store_responses=True,
+                         method="auto", workers=None, processes=None,
+                         session=None, on_failure="raise", policy=None,
+                         store_responses=True,
                          shard_size=1024) -> MonteCarloResult:
     """Run a Monte Carlo tolerance analysis of ``circuit``.
 
@@ -270,7 +270,7 @@ def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
         Sweep grid in hertz.
     samples, seed:
         Ensemble size and RNG seed (deterministic per seed).
-    solver, method, workers:
+    method, workers:
         Passed to :func:`repro.montecarlo.ensemble_sweep`.
     processes:
         Worker *processes* — anything other than ``None`` / ``1`` routes
@@ -285,7 +285,7 @@ def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
     session:
         Optional :class:`~repro.engine.session.AnalysisSession`; the whole
         result is then memoized under ``(circuit, space, grid, samples,
-        seed, solver)`` and the nominal response shares the session's cached
+        seed, method)`` and the nominal response shares the session's cached
         sweep factorizations.
     on_failure, policy:
         Resilience controls passed to :func:`repro.montecarlo.ensemble_sweep`
@@ -312,16 +312,16 @@ def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
     if (session is not None and on_failure == "raise" and policy is None
             and store_responses and processes in (None, 1)):
         return session.montecarlo(circuit, output, frequencies, space,
-                                  samples=samples, seed=seed, solver=solver,
-                                  method=method, workers=workers)
+                                  samples=samples, seed=seed, method=method,
+                                  workers=workers)
     return _monte_carlo(circuit, output, frequencies, space, samples, seed,
-                        solver, method, workers, session=session,
+                        method, workers, session=session,
                         on_failure=on_failure, policy=policy,
                         processes=processes, store_responses=store_responses,
                         shard_size=shard_size)
 
 
-def _monte_carlo(circuit, output, frequencies, space, samples, seed, solver,
+def _monte_carlo(circuit, output, frequencies, space, samples, seed,
                  method, workers, session=None, on_failure="raise",
                  policy=None, processes=None, store_responses=True,
                  shard_size=1024) -> MonteCarloResult:
@@ -331,17 +331,16 @@ def _monte_carlo(circuit, output, frequencies, space, samples, seed, solver,
                  else {"store_responses": False, "shard_size": shard_size})
     if processes in (None, 1):
         ensemble = ensemble_sweep(circuit, output, frequencies, space,
-                                  samples=samples, seed=seed, solver=solver,
-                                  method=method, workers=workers,
-                                  on_failure=on_failure, policy=policy,
-                                  **streaming)
+                                  samples=samples, seed=seed, method=method,
+                                  workers=workers, on_failure=on_failure,
+                                  policy=policy, **streaming)
     else:
         from ..montecarlo.parallel import parallel_ensemble_sweep
 
         ensemble = parallel_ensemble_sweep(
             circuit, output, frequencies, space, samples=samples, seed=seed,
-            solver=solver, method=method, workers=processes,
-            on_failure=on_failure, policy=policy, **streaming)
+            method=method, workers=processes, on_failure=on_failure,
+            policy=policy, **streaming)
     nominal = ACAnalysis(circuit, output, method=method,
                          session=session).frequency_response(frequencies)
     return MonteCarloResult(ensemble=ensemble, nominal_response=nominal,
@@ -349,7 +348,7 @@ def _monte_carlo(circuit, output, frequencies, space, samples, seed, solver,
 
 
 def corner_analysis(circuit, output, frequencies, space=None, *,
-                    tolerances=None, solver="lapack", method="auto",
+                    tolerances=None, method="auto",
                     workers=None) -> CornerResult:
     """Evaluate the deterministic tolerance-band corners of ``circuit``.
 
@@ -362,8 +361,7 @@ def corner_analysis(circuit, output, frequencies, space=None, *,
     frequencies = np.asarray(frequencies, dtype=float)
     values = space.corner_values()
     ensemble = ensemble_sweep(circuit, output, frequencies, space,
-                              values=values, solver=solver, method=method,
-                              workers=workers)
+                              values=values, method=method, workers=workers)
     magnitudes = ensemble.magnitudes_db()
     return CornerResult(
         frequencies=frequencies,
@@ -599,8 +597,7 @@ class ImportanceYieldResult:
 def importance_yield(circuit, output, frequencies, specs, space=None, *,
                      samples=4096, seed=0, tolerances=None, shift=None,
                      scale=1.0, mixture=0.1, magnitude=3.0,
-                     solver="lapack", method="auto",
-                     on_failure="quarantine", policy=None,
+                     method="auto", on_failure="quarantine", policy=None,
                      shard_size=1024, histogram_bins=None,
                      histogram_range=None,
                      session=None) -> ImportanceYieldResult:
@@ -646,7 +643,7 @@ def importance_yield(circuit, output, frequencies, specs, space=None, *,
     values, weights = space.importance_sample(samples, seed, shift=shift,
                                               scale=scale, mixture=mixture)
     ensemble = ensemble_sweep(circuit, output, frequencies, space,
-                              values=values, solver=solver, method=method,
+                              values=values, method=method,
                               on_failure=on_failure, policy=policy,
                               store_responses=False, shard_size=shard_size,
                               histogram_bins=histogram_bins,

@@ -29,8 +29,7 @@ conditions".  This package owns that machinery once, for every formulation:
 
 from .formulation import Formulation, FormulationBase
 from .resilience import (SolveDiagnostics, SolvePolicy, SweepReport,
-                         resilient_dense_solve, resilient_sparse_solve,
-                         reset_telemetry, telemetry_snapshot)
+                         resilient_dense_solve, resilient_sparse_solve)
 from .session import AnalysisSession
 from .sweep import SweepEngine, SweepFactors
 
@@ -45,6 +44,4 @@ __all__ = [
     "SweepReport",
     "resilient_dense_solve",
     "resilient_sparse_solve",
-    "telemetry_snapshot",
-    "reset_telemetry",
 ]

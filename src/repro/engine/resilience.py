@@ -7,9 +7,8 @@ sweep can either recover a failing point through progressively more careful
 factorizations or quarantine it with a precise, machine-readable report:
 
 * **fast** — the batched kernel the engine would have used anyway
-  (:func:`~repro.linalg.dense.batched_dense_lu` /
-  :func:`~repro.linalg.dense.batched_solve` on the dense paths, pivot-pattern
-  refactorization on the sparse path);
+  (:func:`~repro.linalg.dense.batched_solve` on the dense path,
+  pivot-pattern refactorization on the sparse path);
 * **bitexact** — the scalar reference kernel (:func:`~repro.linalg.dense.dense_lu`,
   or a fresh *ordered* sparse factorization), whose factors are the
   batched kernel's bit-for-bit;
@@ -27,9 +26,8 @@ or below the policy's residual limit.  A 1-norm condition estimate (Hager's
 method on the packed dense LU, probe vectors on the sparse factorization)
 above the policy's condition limit flags the solution *degraded*: recorded,
 never silently dropped.  Every escalation is recorded in
-:class:`SolveDiagnostics`; per-sweep aggregation lives in
-:class:`SweepReport`; process-wide counters in :data:`TELEMETRY` (surfaced
-through :meth:`repro.engine.session.AnalysisSession.stats`).
+:class:`SolveDiagnostics`; per-run aggregation lives in
+:class:`SweepReport`, the one record of a run's escalations and quarantines.
 """
 
 from __future__ import annotations
@@ -50,9 +48,7 @@ __all__ = ["SolvePolicy", "SolveDiagnostics", "EscalationRecord",
            "dense_condition_estimate",
            "sparse_condition_estimate", "resilient_dense_solve",
            "resilient_sparse_solve", "solve_stack_resilient",
-           "report_to_json", "report_from_json", "merge_shard_report",
-           "merge_telemetry",
-           "TELEMETRY", "telemetry_snapshot", "reset_telemetry"]
+           "report_to_json", "report_from_json"]
 
 #: Escalation stages, in order of increasing desperation.
 STAGES = ("fast", "bitexact", "fresh", "regularized")
@@ -66,24 +62,6 @@ _CONDITION_CHECKS = ("never", "escalated", "always")
 #: matrix, small enough that a merely ill-conditioned one still passes its
 #: residual test against the original ``A``.
 _DEFAULT_REGULARIZATION = float(np.sqrt(np.finfo(float).eps))
-
-#: Process-wide resilience counters (reset with :func:`reset_telemetry`).
-#: Stage keys count *accepted* solves per stage; ``recovered`` counts solves
-#: accepted past the fast stage, ``quarantined`` exhausted chains,
-#: ``degraded`` accepted solves whose condition estimate exceeded the limit.
-TELEMETRY = {"fast": 0, "bitexact": 0, "fresh": 0, "regularized": 0,
-             "recovered": 0, "quarantined": 0, "degraded": 0}
-
-
-def telemetry_snapshot() -> dict:
-    """A copy of the process-wide resilience counters."""
-    return dict(TELEMETRY)
-
-
-def reset_telemetry() -> None:
-    """Zero the process-wide resilience counters."""
-    for key in TELEMETRY:
-        TELEMETRY[key] = 0
 
 
 # --------------------------------------------------------------------------- #
@@ -255,13 +233,10 @@ class SweepReport:
     def record_fast(self, count=1):
         """Count ``count`` solves accepted on the fast path."""
         self.stage_counts["fast"] += int(count)
-        TELEMETRY["fast"] += int(count)
 
     def record_recovery(self, index, diagnostics: SolveDiagnostics):
         """Record a solve accepted past the fast stage."""
         self.stage_counts[diagnostics.stage] += 1
-        TELEMETRY[diagnostics.stage] += 1
-        TELEMETRY["recovered"] += 1
         self.recoveries.append(RecoveryRecord(
             index=index, stage=diagnostics.stage,
             residual=diagnostics.residual, condition=diagnostics.condition,
@@ -272,21 +247,28 @@ class SweepReport:
     def record_degraded(self, index, condition):
         """Record an accepted solution whose condition estimate is over limit."""
         self.degraded.append((index, condition))
-        TELEMETRY["degraded"] += 1
 
     def record_failure(self, index, description, reason, escalations=()):
         """Record a quarantined index."""
         self.failures.append(FailureRecord(
             index=index, description=description, reason=reason,
             escalations=tuple(escalations)))
-        TELEMETRY["quarantined"] += 1
 
-    def merge(self, other: "SweepReport") -> None:
-        """Fold another report (e.g. one resumed shard) into this one."""
-        self.total += other.total
-        self.failures.extend(other.failures)
-        self.recoveries.extend(other.recoveries)
-        self.degraded.extend(other.degraded)
+    def merge(self, other: "SweepReport", offset=0) -> None:
+        """Fold one shard's report into this run report.
+
+        The shard's indices are shard-local; ``offset`` re-bases them to
+        run coordinates.  ``total`` is left to the caller: shards completing
+        out of order make "samples attempted" a supervisor-level fact.
+        """
+        for record in other.failures:
+            self.failures.append(dataclasses.replace(
+                record, index=record.index + offset))
+        for record in other.recoveries:
+            self.recoveries.append(dataclasses.replace(
+                record, index=record.index + offset))
+        self.degraded.extend((index + offset, condition)
+                             for index, condition in other.degraded)
         for stage, count in other.stage_counts.items():
             self.stage_counts[stage] += count
 
@@ -325,15 +307,8 @@ class SweepReport:
 
 
 # --------------------------------------------------------------------------- #
-# cross-process aggregation
+# checkpoint serialization
 # --------------------------------------------------------------------------- #
-#
-# Checkpointed and multiprocess runs evaluate shards whose SweepReports and
-# telemetry counters live in another time (a resumed process) or another
-# process (a worker).  These helpers move that state across the boundary:
-# serialize / rebuild reports without touching the process-wide TELEMETRY,
-# re-base shard-local indices into ensemble coordinates, and fold a worker's
-# telemetry delta into the supervisor's counters exactly once.
 
 
 def report_to_json(report) -> str:
@@ -365,12 +340,7 @@ def report_to_json(report) -> str:
 
 
 def report_from_json(text):
-    """Rebuild a :class:`SweepReport` without touching :data:`TELEMETRY`.
-
-    The inverse of :func:`report_to_json` — used when resuming a checkpoint
-    or receiving a worker's shard report, where the counters were already
-    incremented by the process that did the solving.
-    """
+    """Rebuild a :class:`SweepReport`: the inverse of :func:`report_to_json`."""
     import json
 
     if not text:
@@ -398,43 +368,6 @@ def report_from_json(text):
                        for index, condition in state["degraded"]]
     report.stage_counts = dict(state["stage_counts"])
     return report
-
-
-def merge_shard_report(target, shard_report, offset) -> None:
-    """Fold one shard's report into a run report, offsetting its indices.
-
-    Unlike :meth:`SweepReport.merge` this re-bases the shard-local sample
-    indices to ensemble coordinates — and copies records directly instead of
-    going through the ``record_*`` methods, which would double-count the
-    process-wide telemetry the shard run already incremented (in this
-    process for sequential shards, in the worker for multiprocess ones).
-    ``target.total`` is deliberately left to the caller: shards completing
-    out of order make "samples attempted" a supervisor-level fact.
-    """
-    for record in shard_report.failures:
-        target.failures.append(dataclasses.replace(
-            record, index=record.index + offset))
-    for record in shard_report.recoveries:
-        target.recoveries.append(dataclasses.replace(
-            record, index=record.index + offset))
-    target.degraded.extend((index + offset, condition)
-                           for index, condition in shard_report.degraded)
-    for stage, count in shard_report.stage_counts.items():
-        target.stage_counts[stage] += count
-
-
-def merge_telemetry(delta) -> None:
-    """Fold a worker process's telemetry delta into this process's counters.
-
-    Workers snapshot :data:`TELEMETRY` around each shard and ship the
-    difference with the shard result; the supervisor folds each completed
-    shard's delta exactly once, so ``AnalysisSession.stats()["resilience"]``
-    reflects the whole ensemble no matter how many processes solved it.
-    Unknown keys (a newer worker) are ignored rather than invented.
-    """
-    for key, count in delta.items():
-        if key in TELEMETRY:
-            TELEMETRY[key] += int(count)
 
 
 # --------------------------------------------------------------------------- #
@@ -908,16 +841,13 @@ def _stack_residuals(stack, solutions, rhs_stack) -> np.ndarray:
     return scaled
 
 
-def solve_stack_resilient(stack, rhs, policy, report, indexer,
-                          solver="lu") -> np.ndarray:
+def solve_stack_resilient(stack, rhs, policy, report, indexer) -> np.ndarray:
     """Solve a ``(B, n, n)`` stack, escalating failing members individually.
 
-    The fast stage is the stack's native batched kernel
-    (:func:`~repro.linalg.dense.batched_dense_lu` for ``solver="lu"``,
-    :func:`~repro.linalg.dense.batched_solve` for ``"lapack"``); members it
-    cannot serve — singular flags, non-finite rows, residuals over the
+    The fast stage is :func:`~repro.linalg.dense.batched_solve`; members it
+    cannot serve — singular members, non-finite rows, residuals over the
     policy limit — are re-solved one by one through
-    :func:`resilient_dense_solve`.  Both batched kernels are batch-size
+    :func:`resilient_dense_solve`.  The batched kernel is batch-size
     invariant, so surviving members keep exactly the bits a fault-free run
     would have produced.
 
@@ -933,8 +863,6 @@ def solve_stack_resilient(stack, rhs, policy, report, indexer,
         ``indexer(member) -> (report_index, description)`` mapping a stack
         position to the index recorded in the report (sweep point or sample)
         and a human-readable description of the member.
-    solver:
-        ``"lu"`` or ``"lapack"``.
 
     Returns
     -------
@@ -948,31 +876,21 @@ def solve_stack_resilient(stack, rhs, policy, report, indexer,
     limit = policy.effective_residual_limit()
 
     singular = np.zeros(batch, dtype=bool)
-    factorization = None
-    if solver == "lapack":
-        # A non-finite member is legal input here (it will be quarantined);
-        # keep its NaN arithmetic from warning inside the batched kernel.
-        with np.errstate(invalid="ignore"):
-            try:
-                solutions = batched_solve(stack, rhs)
-            except SingularMatrixError:
-                # Re-solve members one by one: zgesv results are batch-size
-                # invariant, so healthy members reproduce the fault-free
-                # bits.
-                solutions = np.full((batch, n), np.nan, dtype=complex)
-                for member in range(batch):
-                    try:
-                        solutions[member] = batched_solve(
-                            stack[member:member + 1], rhs_stack[member])[0]
-                    except SingularMatrixError:
-                        singular[member] = True
-    else:
-        # A non-finite member is legal input here (it will be quarantined);
-        # keep its NaN arithmetic from warning inside the batched kernel.
-        with np.errstate(invalid="ignore"):
-            factorization = batched_dense_lu(stack, overwrite=False)
-            solutions = factorization.solve(rhs)
-        singular = factorization.singular.copy()
+    # A non-finite member is legal input here (it will be quarantined);
+    # keep its NaN arithmetic from warning inside the batched kernel.
+    with np.errstate(invalid="ignore"):
+        try:
+            solutions = batched_solve(stack, rhs)
+        except SingularMatrixError:
+            # Re-solve members one by one: zgesv results are batch-size
+            # invariant, so healthy members reproduce the fault-free bits.
+            solutions = np.full((batch, n), np.nan, dtype=complex)
+            for member in range(batch):
+                try:
+                    solutions[member] = batched_solve(
+                        stack[member:member + 1], rhs_stack[member])[0]
+                except SingularMatrixError:
+                    singular[member] = True
 
     finite = np.all(np.isfinite(solutions), axis=1)
     with np.errstate(invalid="ignore"):
@@ -983,8 +901,9 @@ def solve_stack_resilient(stack, rhs, policy, report, indexer,
     report.record_fast(int(batch - failing.sum()))
 
     if policy.condition_check == "always":
-        if factorization is None:
-            factorization = batched_dense_lu(stack, overwrite=False)
+        # The Hager estimate needs the packed LU factors batched_solve
+        # does not expose.
+        factorization = batched_dense_lu(stack, overwrite=False)
         for member in np.flatnonzero(~failing):
             anorm = float(np.abs(stack[member]).sum(axis=0).max())
             condition = dense_condition_estimate(

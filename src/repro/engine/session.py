@@ -36,7 +36,7 @@ formulation/sweep modules sit below them.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -427,12 +427,11 @@ class AnalysisSession:
         return model
 
     def montecarlo(self, circuit, output, frequencies, space, *,
-                   samples=128, seed=0, solver="lapack", method="auto",
-                   workers=None):
+                   samples=128, seed=0, method="auto", workers=None):
         """The circuit's :class:`~repro.analysis.montecarlo.MonteCarloResult`.
 
         Monte Carlo runs are pure functions of circuit content, output,
-        grid, parameter space, ensemble size, seed and solver, so whole
+        grid, parameter space, ensemble size, seed and method, so whole
         results are memoized — a yield dashboard re-querying the ensemble a
         report pass already computed gets the stored object back, and the
         nominal response inside shares this session's cached sweep
@@ -444,11 +443,11 @@ class AnalysisSession:
         frequencies = np.asarray(list(frequencies), dtype=float)
         key = (self.fingerprint(circuit), self._spec_key(output),
                self._grid_key(frequencies), space.key(), int(samples),
-               int(seed), solver, method)
+               int(seed), method)
         return self._get(
             self._montecarlo, key,
             lambda: _monte_carlo(circuit, output, frequencies, space,
-                                 samples, seed, solver, method, workers,
+                                 samples, seed, method, workers,
                                  session=self))
 
     # ------------------------------------------------------------------ #
@@ -508,19 +507,17 @@ class AnalysisSession:
         return removed
 
     def stats(self) -> Dict[str, int]:
-        """Cache statistics plus the process-wide resilience counters.
+        """Cache statistics.
 
         ``"compiled"`` carries this session's compiled-transfer cache
         counters: ``compiles`` (builds on miss), ``hits`` (served from
         cache) and ``evictions`` (LRU drops; :meth:`invalidate` removals
-        are not evictions).
+        are not evictions).  A run's resilience outcome lives in its own
+        :class:`~repro.engine.resilience.SweepReport`.
         """
-        from .resilience import telemetry_snapshot
-
         return {"hits": self.hits, "misses": self.misses,
                 "entries": self.entry_count,
-                "compiled": dict(self._compiled_stats),
-                "resilience": telemetry_snapshot()}
+                "compiled": dict(self._compiled_stats)}
 
     def __repr__(self):
         return (f"AnalysisSession(entries={self.entry_count}, "

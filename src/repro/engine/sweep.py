@@ -43,8 +43,7 @@ from ..linalg.dense import batched_dense_lu, sweep_chunk_size
 from ..linalg.lu import sparse_lu_reusing
 from ..linalg.ordering import fill_reducing_order
 from ..linalg.sparse import SparseMatrix
-from .resilience import (SolvePolicy, SweepReport, resilient_sparse_solve,
-                         solve_stack_resilient)
+from .resilience import resilient_sparse_solve
 
 __all__ = ["SweepEngine", "SweepFactors"]
 
@@ -57,12 +56,6 @@ _METHODS = ("auto", "dense", "sparse")
 #: typical interpolation sweep (~150 points) runs in two or three chunks
 #: while a post-layout reference adds only a few MiB to the process.
 _SPARSE_CHUNK_BYTES = 5 * 1024 * 1024
-
-#: Failure modes of the resilient solve entry points: ``"raise"`` aborts on
-#: the first unrecoverable point (the legacy behavior when no policy is
-#: given), ``"quarantine"`` masks it to NaN and records it in the engine's
-#: :attr:`SweepEngine.last_report`.
-_FAILURE_MODES = ("raise", "quarantine")
 
 
 class SweepEngine:
@@ -124,9 +117,6 @@ class SweepEngine:
         self.dense_cutoff = dense_cutoff()
         self.factorization_count = 0
         self.refactorization_count = 0
-        #: :class:`~repro.engine.resilience.SweepReport` of the most recent
-        #: resilient solve (``None`` after a legacy, non-resilient call).
-        self.last_report = None
         self._sparse_pattern = None
         self._column_order = None
         self._refactor_plan = None
@@ -257,91 +247,35 @@ class SweepEngine:
     # ------------------------------------------------------------------ #
 
     def solve_sweep(self, s, rhs, conductance_scale=1.0,
-                    frequency_scale=1.0, *, on_failure="raise",
-                    policy=None) -> np.ndarray:
+                    frequency_scale=1.0) -> np.ndarray:
         """Solve ``A(s_k) x_k = rhs`` at every point, discarding the factors.
 
         ``rhs`` is one shared right-hand side (broadcast over the sweep).
-        Returns ``(K, n)`` complex solutions in input order.
-
-        ``on_failure="raise"`` with no ``policy`` (the default) is the legacy
-        path: the first singular point raises
-        :class:`~repro.errors.SingularMatrixError` and results are
-        bit-identical to prior releases.  Supplying a
-        :class:`~repro.engine.resilience.SolvePolicy` (or
-        ``on_failure="quarantine"``) activates the escalation chain: failing
-        points are recovered through progressively more careful
-        factorizations, and unrecoverable ones either abort (``"raise"``)
-        or are masked to NaN (``"quarantine"``) — either way the outcome is
-        recorded in :attr:`last_report`.
+        Returns ``(K, n)`` complex solutions in input order; the first
+        singular point raises :class:`~repro.errors.SingularMatrixError`.
         """
-        if on_failure not in _FAILURE_MODES:
-            raise FormulationError(f"unknown failure mode {on_failure!r}")
         s = np.asarray(s, dtype=complex)
         solutions = np.zeros((len(s), self.formulation.dimension),
                              dtype=complex)
-        if on_failure == "raise" and policy is None:
-            self.last_report = None
-            if len(s) == 0:
-                return solutions
-            for start, factorization in self._chunks(s, conductance_scale,
-                                                     frequency_scale):
-                solutions[start:start + factorization.batch] = (
-                    factorization.solve(rhs))
-                del factorization
-            return solutions
-
-        policy = policy or SolvePolicy()
-        report = SweepReport(label=self.singular_label, kind="sweep point",
-                             total=len(s))
-        self.last_report = report
         if len(s) == 0:
             return solutions
-        if self.is_dense:
-            chunk = sweep_chunk_size(self.formulation.dimension)
-            for start in range(0, len(s), chunk):
-                block = s[start:start + chunk]
-                stack = self.formulation.assemble_batch(
-                    block, conductance_scale, frequency_scale)
-                self.factorization_count += len(block)
-                before = len(report.failures)
-
-                def indexer(member, start=start, block=block):
-                    point = start + member
-                    return point, (f"sweep point {point} "
-                                   f"(s={complex(block[member])!r})")
-
-                solutions[start:start + len(block)] = solve_stack_resilient(
-                    stack, rhs, policy, report, indexer)
-                if on_failure == "raise" and len(report.failures) > before:
-                    failure = report.failures[before]
-                    raise SolveFailureError(
-                        f"{self.singular_label} is singular at "
-                        f"{failure.description}: {failure.reason}",
-                        sweep_point=failure.index)
-        else:
-            keys, constant_values, dynamic_values = (
-                self.formulation.merged_sparse_structure())
-            base = (constant_values if conductance_scale == 1.0
-                    else conductance_scale * constant_values)
-            factors = _frequency_factors(s, frequency_scale)
-            for k, solution in self._resilient_sparse_points(
-                    keys, base, dynamic_values, factors, rhs, policy, report,
-                    lambda k: (k, f"sweep point {k} "
-                                  f"(s={complex(factors[k])!r})"),
-                    on_failure):
-                solutions[k] = solution
+        for start, factorization in self._chunks(s, conductance_scale,
+                                                 frequency_scale):
+            solutions[start:start + factorization.batch] = (
+                factorization.solve(rhs))
+            del factorization
         return solutions
 
     def _resilient_sparse_points(self, keys, base, dynamic, factors, rhs,
-                                 policy, report, indexer, on_failure):
+                                 policy, report, indexer):
         """Yield ``(k, x)``: ``base + factors[k]·dynamic`` solved resiliently.
 
-        The per-point resilient twin of :meth:`_sparse_chunks`: each point
-        goes through :func:`~repro.engine.resilience.resilient_sparse_solve`
-        along the engine's pivot pattern.  ``indexer(k)`` gives the point's
-        ``(report index, description)``.  An unrecoverable point raises
-        under ``on_failure="raise"`` and yields NaN otherwise.
+        The per-point resilient twin of :meth:`_sparse_chunks`, behind the
+        sparse ensemble's quarantine mode: each point goes through
+        :func:`~repro.engine.resilience.resilient_sparse_solve` along the
+        engine's pivot pattern.  ``indexer(k)`` gives the point's
+        ``(report index, description)``.  An unrecoverable point is
+        recorded in ``report`` and yields NaN.
         """
         n = self.formulation.dimension
         order = self.column_order()
@@ -351,11 +285,10 @@ class SweepEngine:
                                                zip(keys, values.tolist()))
             index, description = indexer(k)
             yield k, self._resilient_sparse_point(
-                matrix, rhs, policy, report, index, description, order,
-                on_failure)
+                matrix, rhs, policy, report, index, description, order)
 
     def _resilient_sparse_point(self, matrix, rhs, policy, report, index,
-                                description, order, on_failure):
+                                description, order):
         """One resilient sparse solve, with engine counter / report upkeep."""
         had_pattern = self._sparse_pattern is not None
         try:
@@ -366,11 +299,6 @@ class SweepEngine:
             escalations = (error.diagnostics.escalations
                            if error.diagnostics is not None else ())
             report.record_failure(index, description, str(error), escalations)
-            if on_failure == "raise":
-                raise SolveFailureError(
-                    f"{self.singular_label} is singular at {description}: "
-                    f"{error}", sweep_point=index,
-                    diagnostics=error.diagnostics) from error
             return np.nan
         if diagnostics.stage == "fast":
             if had_pattern:

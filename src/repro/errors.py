@@ -70,9 +70,6 @@ class SingularMatrixError(LinAlgError):
         if known.
     dimension:
         Dimension of the (square) matrix being factored, if known.
-    sweep_point:
-        Index of the frequency-sweep point at which the failure occurred,
-        if the solve was part of a sweep.
     sample:
         Ensemble-sample index, if the solve was part of a parameter sweep /
         Monte Carlo ensemble.
@@ -84,11 +81,10 @@ class SingularMatrixError(LinAlgError):
     """
 
     def __init__(self, message, *, pivot_index=None, dimension=None,
-                 sweep_point=None, sample=None, batch_index=None, stage=None):
+                 sample=None, batch_index=None, stage=None):
         super().__init__(message)
         self.pivot_index = pivot_index
         self.dimension = dimension
-        self.sweep_point = sweep_point
         self.sample = sample
         self.batch_index = batch_index
         self.stage = stage

@@ -13,11 +13,11 @@ first-class workload on top of the :mod:`repro.engine` sweep machinery:
   re-stamping that reproduces the MNA builder's assembly arithmetic
   bit-for-bit across a whole ensemble,
 * :mod:`repro.montecarlo.engine` — :func:`ensemble_sweep`: M perturbed
-  circuits × F frequencies in chunked stacked solves
-  (:func:`~repro.linalg.dense.batched_solve` LAPACK throughput arm, or the
-  ``solver="lu"`` arm that is bit-identical to the
-  :func:`rebuild_sweep` rebuild-per-sample reference), with the sparse
-  pivot-refactorization fallback above the dense cutoff,
+  circuits × F frequencies in chunked stacked LAPACK solves
+  (:func:`~repro.linalg.dense.batched_solve`, bit-identical to the
+  :func:`rebuild_sweep` rebuild-per-sample reference run on the same
+  solver), with the sparse pivot-refactorization fallback above the dense
+  cutoff,
 * :mod:`repro.montecarlo.compiled` — :func:`compiled_ensemble_sweep`: the
   same ensemble served by a
   :class:`~repro.symbolic.compile.CompiledTransferModel` with **no matrix

@@ -13,9 +13,9 @@ Determinism is the design constraint, not an afterthought:
   generator (:meth:`~repro.montecarlo.space.ParameterSpace.sample_values`),
   so shard ``k`` sees exactly the values it would have seen in an
   uninterrupted run;
-* both batched dense kernels are batch-size invariant and the sparse /
-  resilient paths solve sample-by-sample, so a shard's response rows are
-  bit-for-bit the rows of the full run;
+* the batched dense solver is batch-size invariant and the sparse path
+  solves sample-by-sample, so a shard's response rows are bit-for-bit the
+  rows of the full run;
 * the streaming :class:`EnsembleStatistics` accumulators are updated once
   per shard in fixed shard order, so a resumed run replays the identical
   sequence of floating-point additions.
@@ -24,9 +24,11 @@ Together: **kill + resume is bit-identical** to never having been killed —
 same responses, same statistics, same quarantine report.
 
 Checkpoints carry the circuit fingerprint, the parameter-space key, the
-sampler seed and the solver configuration; resuming against a mismatched
+sampler seed and the solve configuration; resuming against a mismatched
 setup raises :class:`~repro.errors.CheckpointError` instead of silently
-mixing two different runs.
+mixing two different runs.  The ``solver`` field is always ``"lapack"``: a
+checkpoint an earlier release wrote with ``solver="lu"`` holds other bits
+and is refused rather than resumed.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ __all__ = ["EnsembleStatistics", "CheckpointedRun",
 #: so the version stays 1.
 _FORMAT_VERSION = 1
 
+#: The dense solver every checkpoint records in its ``solver`` field.
+_SOLVER = "lapack"
+
 
 @dataclasses.dataclass
 class CheckpointedRun:
@@ -89,7 +94,7 @@ def _space_key_digest(space) -> str:
 
 
 def _save_checkpoint(path, *, fingerprint, space_digest, seed, samples,
-                     shard_size, solver, solver_used, method, on_failure,
+                     shard_size, solver_used, method, on_failure,
                      frequencies, completed, responses, statistics, report,
                      store_responses=True):
     """Atomically write the run state: tmp file + :func:`os.replace`.
@@ -111,7 +116,7 @@ def _save_checkpoint(path, *, fingerprint, space_digest, seed, samples,
             seed=np.array(int(seed)),
             samples=np.array(int(samples)),
             shard_size=np.array(int(shard_size)),
-            solver=np.array(solver),
+            solver=np.array(_SOLVER),
             solver_used=np.array(solver_used),
             method=np.array(method),
             on_failure=np.array(on_failure),
@@ -259,9 +264,8 @@ def checkpoint_info(path) -> dict:
 def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
                                 path, samples=128, seed=0, shard_size=32,
                                 max_shards=None, tolerances=None,
-                                solver="lapack", method="auto",
-                                on_failure="quarantine", policy=None,
-                                workers=None, supervisor=None,
+                                method="auto", on_failure="quarantine",
+                                policy=None, workers=None, supervisor=None,
                                 store_responses=True, histogram_bins=None,
                                 histogram_range=None) -> CheckpointedRun:
     """Run (or resume) a tolerance ensemble with periodic checkpointing.
@@ -272,7 +276,7 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
     and the quarantine report are written atomically to ``path``.  If
     ``path`` already holds a checkpoint of the *same* run (circuit
     fingerprint, parameter-space content, seed, sample count, shard size and
-    solver configuration all match) the run resumes after its last completed
+    solve configuration all match) the run resumes after its last completed
     shard; a mismatched checkpoint raises
     :class:`~repro.errors.CheckpointError`.
 
@@ -339,7 +343,7 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
     values = space.sample_values(samples, seed)
     store_responses = bool(store_responses)
     fold = _EnsembleFold(
-        frequencies, samples, solver=solver, store_responses=store_responses,
+        frequencies, samples, store_responses=store_responses,
         resilient=on_failure == "quarantine" or policy is not None,
         histogram_bins=histogram_bins, histogram_range=histogram_range)
     bins = fold.statistics.histogram_bins
@@ -354,7 +358,7 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
                 f"expected {_FORMAT_VERSION}")
         expected = {"fingerprint": fingerprint, "space_digest": space_digest,
                     "seed": int(seed), "samples": samples,
-                    "shard_size": shard_size, "solver": solver,
+                    "shard_size": shard_size, "solver": _SOLVER,
                     "method": method, "on_failure": on_failure,
                     "store_responses": store_responses,
                     "stats_histogram_bins": bins}
@@ -392,8 +396,8 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
         _save_checkpoint(path, fingerprint=fingerprint,
                          space_digest=space_digest, seed=seed,
                          samples=samples, shard_size=shard_size,
-                         solver=solver, solver_used=fold.solver,
-                         method=method, on_failure=on_failure,
+                         solver_used=fold.solver, method=method,
+                         on_failure=on_failure,
                          frequencies=frequencies, completed=fold.completed,
                          responses=fold.responses,
                          statistics=fold.statistics, report=fold.report,
@@ -407,8 +411,8 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
         plan = plan[:max(0, int(max_shards))]
     in_process = workers is None or workers == 1
     run_shards(circuit, output, frequencies, space, values, plan,
-               solver=solver, method=method, on_failure=on_failure,
-               policy=policy, workers=1 if in_process else workers,
+               method=method, on_failure=on_failure, policy=policy,
+               workers=1 if in_process else workers,
                config=supervisor, on_shard_complete=save, fold=fold,
                threads=None if in_process else 1)
 

@@ -10,10 +10,8 @@ batched solves instead of M independent circuit rebuilds:
   broadcast expression of
   :meth:`~repro.engine.formulation.FormulationBase.assemble_batch`,
 * factorization goes through :func:`~repro.linalg.dense.batched_solve`
-  (LAPACK, the throughput default) or
-  :func:`~repro.linalg.dense.batched_dense_lu` (``solver="lu"``, the
-  bit-parity arm whose outputs equal the rebuild-per-sample path *exactly* —
-  both solvers are batch-size invariant, so chunking cannot change results),
+  (LAPACK), which is batch-size invariant, so chunking cannot change
+  results,
 * above the dense cutoff each sample's value vectors go through a
   :class:`~repro.engine.sweep.SweepEngine` over the nominal MNA system: a
   fresh pivot search per sample, then the engine's compiled refactorization
@@ -22,9 +20,10 @@ batched solves instead of M independent circuit rebuilds:
 
 :func:`rebuild_sweep` is the M-independent-rebuilds reference the engine is
 benchmarked and parity-checked against: one circuit copy + MNA build + AC
-sweep per sample, through the standard :class:`~repro.analysis.ac.ACAnalysis`
-machinery (``solver="lu"``) or the same LAPACK solver one sample at a time
-(``solver="lapack"``).
+sweep per sample, through the same LAPACK solver one sample at a time
+(``solver="lapack"``, the dense path's bitwise twin) or the standard
+:class:`~repro.analysis.ac.ACAnalysis` machinery (``solver="lu"``, the sparse
+path's bitwise twin and the dense path's 1e-9 reference).
 
 :class:`_EnsembleFold` is the one fold of all three ensemble drivers: the
 streaming mode of :func:`ensemble_sweep` and
@@ -44,11 +43,11 @@ from typing import Optional
 import numpy as np
 
 from ..engine.resilience import (SolvePolicy, SweepReport,
-                                 merge_shard_report, solve_stack_resilient)
+                                 solve_stack_resilient)
 from ..engine.sweep import _METHODS, SweepEngine
 from ..errors import (FormulationError, SingularMatrixError,
                       SolveFailureError)
-from ..linalg.dense import batched_dense_lu, batched_solve
+from ..linalg.dense import batched_solve
 from ..mna.builder import build_mna_system
 from ..nodal.reduce import _normalize_output, _output_terms, _project_output
 from .program import ValueProgram
@@ -64,7 +63,7 @@ _SOLVERS = ("lapack", "lu")
 #: are deliberately much smaller than the frequency-sweep chunks of
 #: :func:`~repro.linalg.dense.sweep_chunk_size`: the assemble → factor →
 #: solve pipeline revisits the chunk several times, and keeping it
-#: cache-resident is worth ~1.5x wall clock at µA741 size.  Both solvers are
+#: cache-resident is worth ~1.5x wall clock at µA741 size.  The solver is
 #: batch-size invariant, so the chunk size cannot change any result bit.
 _ENSEMBLE_CHUNK_ELEMENTS = 750_000
 
@@ -93,8 +92,8 @@ class EnsembleResult:
     output:
         The normalized output description (node name or ``(pos, neg)``).
     solver:
-        ``"lapack"``, ``"lu"`` or ``"sparse"`` — the backend that produced
-        the responses.
+        ``"lapack"``, ``"sparse"`` or ``"compiled"`` — the backend that
+        produced the responses.
     report:
         The :class:`~repro.engine.resilience.SweepReport` of a resilient run
         (``None`` on the legacy path).  Quarantined samples' response rows
@@ -163,27 +162,20 @@ class EnsembleResult:
                 f"{mode}, solver={self.solver!r})")
 
 
-def _solve_chunk(flat, rhs, solver, describe):
+def _solve_chunk(flat, rhs, describe):
     """Factor + solve one assembled ``(B, n, n)`` chunk."""
-    if solver == "lapack":
-        try:
-            return batched_solve(flat, rhs)
-        except SingularMatrixError as error:
-            # batched_solve already located the offender; name the ensemble
-            # sample and sweep point like the LU arm does.
-            index = getattr(error, "batch_index", None)
-            if index is not None:
-                raise SingularMatrixError(
-                    f"{describe(index)} is singular",
-                    batch_index=index) from error
+    try:
+        return batched_solve(flat, rhs)
+    except SingularMatrixError as error:
+        # batched_solve already located the offender; name the ensemble
+        # sample and sweep point.
+        index = getattr(error, "batch_index", None)
+        if index is not None:
             raise SingularMatrixError(
-                f"{describe()} is numerically singular") from error
-    factorization = batched_dense_lu(flat, overwrite=True)
-    if factorization.singular.any():
-        index = int(np.argmax(factorization.singular))
-        raise SingularMatrixError(f"{describe(index)} is singular",
-                                  batch_index=index)
-    return factorization.solve(rhs)
+                f"{describe(index)} is singular",
+                batch_index=index) from error
+        raise SingularMatrixError(
+            f"{describe()} is numerically singular") from error
 
 
 def _default_workers() -> int:
@@ -191,11 +183,11 @@ def _default_workers() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-def _dense_ensemble(system, program, s, values, terms, solver,
-                    workers=None, policy=None, report=None) -> np.ndarray:
+def _dense_ensemble(system, program, s, values, terms, workers=None,
+                    policy=None, report=None) -> np.ndarray:
     """Chunked dense-path ensemble: assemble → factor → solve → project.
 
-    Chunks are fully independent (both solvers are batch-size invariant and
+    Chunks are fully independent (the solver is batch-size invariant and
     every chunk writes a disjoint slice of the response matrix), so they run
     on a small thread pool: the LAPACK gufunc releases the GIL, overlapping
     one chunk's factorization with another's assembly.  Threading cannot
@@ -216,10 +208,8 @@ def _dense_ensemble(system, program, s, values, terms, solver,
 
     def solve(flat, describe, indexer):
         if resilient:
-            return solve_stack_resilient(flat, rhs, policy, report, indexer,
-                                         solver=solver)
-        return _solve_chunk(flat=flat, rhs=rhs, solver=solver,
-                            describe=describe)
+            return solve_stack_resilient(flat, rhs, policy, report, indexer)
+        return _solve_chunk(flat=flat, rhs=rhs, describe=describe)
 
     def run_split(sample, start):
         """One frequency-axis slice of one sample (num_points > chunk)."""
@@ -337,8 +327,7 @@ def _sparse_ensemble(engine, program, s, values, terms, policy=None,
                     keys, base[sample], dynamic[sample], s, rhs, policy,
                     report, lambda k, sample=sample: (
                         sample,
-                        f"ensemble member {sample} at sweep point {k}"),
-                    "quarantine"):
+                        f"ensemble member {sample} at sweep point {k}")):
                 if len(report.failures) > before:
                     # ensemble_sweep masks or raises the whole sample.
                     break
@@ -381,7 +370,7 @@ class _EnsembleFold:
     :meth:`StreamingYield.update` with their weights.  A shard a worker
     already folded comes back as accumulators, which go through ``merge``.
     Either way its report is re-based through
-    :func:`~repro.engine.resilience.merge_shard_report`.  A shard
+    :meth:`~repro.engine.resilience.SweepReport.merge`.  A shard
     accumulator starts from exact zeros, so ``merge`` replays the additions
     ``update`` would have made, and every driver lands on the same bits at
     the same ``shard_size``.
@@ -391,7 +380,7 @@ class _EnsembleFold:
     here, and :meth:`streaming_options` ships that list to the shards.
     """
 
-    def __init__(self, frequencies, samples, *, solver, store_responses=True,
+    def __init__(self, frequencies, samples, *, store_responses=True,
                  resilient=False, histogram_bins=None, histogram_range=None,
                  weights=None, yield_specs=None):
         if weights is not None:
@@ -421,7 +410,8 @@ class _EnsembleFold:
         self.report = (SweepReport(label="ensemble member", kind="sample")
                        if resilient else None)
         self.completed = 0
-        self.solver = solver
+        #: The backend of the last absorbed shard.
+        self.solver = "lapack"
 
     def streaming_options(self) -> dict:
         """Keywords that make a shard's :func:`ensemble_sweep` fold itself.
@@ -458,7 +448,7 @@ class _EnsembleFold:
                                    weights=weights)
         if self.report is not None:
             if shard.report is not None:
-                merge_shard_report(self.report, shard.report, start)
+                self.report.merge(shard.report, offset=start)
             self.report.total = stop
         self.completed = stop
         self.solver = shard.solver
@@ -476,8 +466,8 @@ class _EnsembleFold:
 
 
 def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
-                   samples=128, seed=0, solver="lapack", method="auto",
-                   workers=None, on_failure="raise", policy=None,
+                   samples=128, seed=0, method="auto", workers=None,
+                   on_failure="raise", policy=None,
                    store_responses=True, shard_size=1024,
                    histogram_bins=None, histogram_range=None,
                    weights=None, yield_specs=None) -> EnsembleResult:
@@ -500,10 +490,6 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
         values).  Default: ``space.sample_values(samples, seed)``.
     samples, seed:
         Monte Carlo draw size and RNG seed when ``values`` is not given.
-    solver:
-        ``"lapack"`` (default, highest throughput) or ``"lu"`` (the
-        hand-rolled batched factorization whose outputs are bit-identical to
-        the rebuild-per-sample path).  Ignored on the sparse path.
     method:
         ``"auto"`` (dense at or below the configured cutoff), ``"dense"``
         or ``"sparse"``.
@@ -559,13 +545,12 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
     Raises
     ------
     FormulationError
-        For an unknown ``solver``, ``method`` or ``on_failure``.
+        For an unknown ``method`` or ``on_failure``, or a ``values`` matrix
+        of the wrong shape.
     SingularMatrixError
         When some ensemble member is singular at some sweep point and
         ``on_failure="raise"``.
     """
-    if solver not in _SOLVERS:
-        raise FormulationError(f"unknown ensemble solver {solver!r}")
     if on_failure not in ("raise", "quarantine"):
         raise FormulationError(f"unknown failure mode {on_failure!r}")
     if space is None:
@@ -576,20 +561,20 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
     resilient = on_failure == "quarantine" or policy is not None
     if not store_responses:
         # Shard, fold, discard: each shard runs through the stored mode
-        # (every solver / resilience path is the production one) and its
+        # (every backend / resilience path is the production one) and its
         # (shard, F) rows are dropped before the next shard is assembled.
         from .parallel import shard_plan
 
         fold = _EnsembleFold(
-            frequencies, values.shape[0], solver=solver,
-            store_responses=False, resilient=resilient,
+            frequencies, values.shape[0], store_responses=False,
+            resilient=resilient,
             histogram_bins=histogram_bins, histogram_range=histogram_range,
             weights=weights, yield_specs=yield_specs)
         for __, start, stop in shard_plan(values.shape[0], shard_size):
             fold.absorb(ensemble_sweep(
                 circuit, output, frequencies, space,
-                values=values[start:stop], solver=solver, method=method,
-                workers=workers, on_failure=on_failure, policy=policy),
+                values=values[start:stop], method=method, workers=workers,
+                on_failure=on_failure, policy=policy),
                 start, stop)
         return fold.result(values, space, output)
     _reject_streaming_options(histogram_bins, histogram_range, weights,
@@ -604,7 +589,8 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
         report = SweepReport(label="ensemble member", kind="sample",
                              total=values.shape[0])
     if engine.is_dense:
-        responses = _dense_ensemble(system, program, s, values, terms, solver,
+        solver = "lapack"
+        responses = _dense_ensemble(system, program, s, values, terms,
                                     workers=workers, policy=policy,
                                     report=report)
     else:
@@ -632,11 +618,11 @@ def rebuild_sweep(circuit, output, frequencies, space=None, *, values=None,
 
     ``solver="lu"`` routes every sample through the standard
     :class:`~repro.analysis.ac.ACAnalysis` production path (circuit copy,
-    MNA build, batched AC sweep) — :func:`ensemble_sweep` with
-    ``solver="lu"`` reproduces its outputs bit-for-bit.  ``solver="lapack"``
-    runs the same per-sample rebuild against
-    :func:`~repro.linalg.dense.batched_solve`, the one-at-a-time twin of the
-    vectorized LAPACK arm.
+    MNA build, batched AC sweep): the sparse path of :func:`ensemble_sweep`
+    reproduces its outputs bit-for-bit, and the dense path stays within
+    1e-9 of them.  ``solver="lapack"`` runs the same per-sample rebuild
+    against :func:`~repro.linalg.dense.batched_solve`, the one-at-a-time
+    twin of the dense path.
     """
     if solver not in _SOLVERS:
         raise FormulationError(f"unknown ensemble solver {solver!r}")
@@ -647,10 +633,7 @@ def rebuild_sweep(circuit, output, frequencies, space=None, *, values=None,
     if space is None:
         space = ParameterSpace(circuit)
     frequencies = np.asarray(frequencies, dtype=float)
-    if values is None:
-        values = space.sample_values(samples, seed)
-    else:
-        values = np.asarray(values, dtype=float)
+    values = _ensemble_values(space, values, samples, seed)
     responses = np.zeros((values.shape[0], len(frequencies)), dtype=complex)
     for sample in range(values.shape[0]):
         perturbed = space.apply(values[sample])

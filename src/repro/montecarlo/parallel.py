@@ -13,8 +13,8 @@ Determinism is structural, not statistical:
 * element values are drawn **up front** from the seeded sampler and placed
   in shared memory; every worker sees the same bits;
 * **shard boundaries are fixed** by ``shard_size`` alone — never by worker
-  count, completion order, or failures — and both batched dense kernels are
-  batch-size invariant while the resilient path solves sample-by-sample, so
+  count, completion order, or failures — and the batched dense solver is
+  batch-size invariant while the sparse path solves sample-by-sample, so
   a shard's response rows are bit-for-bit the rows of the full run;
 * a re-dispatched shard re-runs the identical computation on identical
   inputs, so retries are invisible in the output;
@@ -38,10 +38,11 @@ The supervisor distinguishes two failure planes:
   shard report; with ``"raise"`` the error aborts the ensemble.  Numerical
   failure never causes a shard re-run.
 
-Workers send their :data:`~repro.engine.resilience.TELEMETRY` delta with
-each completed shard; the supervisor folds each delta exactly once, so
-process-wide counters reflect the whole ensemble no matter how many
-processes solved it.
+Workers send each completed shard's
+:class:`~repro.engine.resilience.SweepReport` back with it; the supervisor
+merges each shard's report exactly once, in plan order, so the run's report
+records every escalation and quarantine no matter how many processes
+solved it.
 
 Environment knobs: ``REPRO_MP_START`` selects the multiprocessing start
 method (``fork`` / ``spawn`` / ``forkserver``; default: the platform
@@ -64,9 +65,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.resilience import (SweepReport, merge_telemetry,
-                                 report_from_json, report_to_json,
-                                 telemetry_snapshot)
+from ..engine.resilience import SweepReport
 from ..errors import (FormulationError, ReproError, ShardFailureError,
                       SingularMatrixError)
 from .engine import (EnsembleResult, _EnsembleFold, _ensemble_values,
@@ -229,9 +228,9 @@ def _solve_shard(job, values, weights, start, stop, threads):
     """
     return ensemble_sweep(
         job["circuit"], job["output"], job["frequencies"], job["space"],
-        values=values[start:stop], solver=job["solver"],
-        method=job["method"], workers=threads, on_failure=job["on_failure"],
-        policy=job["policy"], shard_size=stop - start,
+        values=values[start:stop], method=job["method"], workers=threads,
+        on_failure=job["on_failure"], policy=job["policy"],
+        shard_size=stop - start,
         weights=None if weights is None else weights[start:stop],
         **job["streaming"])
 
@@ -298,19 +297,15 @@ def _worker_main(slot, payload, tasks, results, values_buffer,
             if action == "crash":
                 raise RuntimeError(
                     f"injected crash (shard {shard}, attempt {attempt})")
-            before = telemetry_snapshot()
             shard_result = _solve_shard(payload, values, weights, start,
                                         stop, threads=1)
-            after = telemetry_snapshot()
             if action == "kill_after":
                 # The solve completed but the worker dies before any
                 # write-back / report: the at-most-once worst case.
                 os.kill(os.getpid(), signal.SIGKILL)
             if responses is not None:
                 responses[start:stop] = shard_result.responses
-            delta = {key: after[key] - before[key] for key in after}
-            results.put(("done", slot, shard, attempt,
-                         report_to_json(shard_result.report), delta,
+            results.put(("done", slot, shard, attempt, shard_result.report,
                          shard_result.solver, shard_result.statistics,
                          shard_result.yields))
         except ReproError as error:
@@ -386,9 +381,9 @@ def _shutdown(handles) -> None:
 
 
 def run_shards(circuit, output, frequencies, space, values, plan, *,
-               solver="lapack", method="auto", on_failure="quarantine",
-               policy=None, workers=None, config=None,
-               on_shard_complete=None, fold=None, threads=1) -> ShardRun:
+               method="auto", on_failure="quarantine", policy=None,
+               workers=None, config=None, on_shard_complete=None, fold=None,
+               threads=1) -> ShardRun:
     """Execute a fixed shard plan and fold each shard in plan order.
 
     The one plan executor under :func:`parallel_ensemble_sweep` and
@@ -422,11 +417,11 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
         workers = _default_workers()
     workers = max(1, min(int(workers), max(1, len(plan))))
     if fold is None:
-        fold = _EnsembleFold(frequencies, num_samples, solver=solver)
+        fold = _EnsembleFold(frequencies, num_samples)
     payload = {
         "circuit": circuit, "output": output, "frequencies": frequencies,
-        "space": space, "solver": solver, "method": method,
-        "on_failure": on_failure, "policy": policy,
+        "space": space, "method": method, "on_failure": on_failure,
+        "policy": policy,
         "streaming": fold.streaming_options(),
         "num_samples": num_samples, "num_axes": num_axes,
         "num_points": num_points,
@@ -539,15 +534,14 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
     def handle_message(handle, message):
         kind, slot, shard, attempt, *rest = message
         if kind == "done":
-            report_json, delta, shard_solver, shard_stats, shard_yield = rest
+            shard_report, shard_solver, shard_stats, shard_yield = rest
             if handle.shard == shard:
                 handle.shard = None
             if shard not in completed:
                 completed.add(shard)
                 if shard in pending:      # late result beat a re-dispatch
                     pending.remove(shard)
-                reports[shard] = report_from_json(report_json)
-                merge_telemetry(delta)
+                reports[shard] = shard_report
                 attempts[shard].append(
                     f"attempt {attempt} on worker {slot}: completed")
                 start, stop = bounds[shard]
@@ -628,9 +622,8 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
 def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
                             values=None, samples=128, seed=0,
                             sampler="random", shard_size=32, workers=None,
-                            solver="lapack", method="auto",
-                            on_failure="quarantine", policy=None,
-                            config=None, store_responses=True,
+                            method="auto", on_failure="quarantine",
+                            policy=None, config=None, store_responses=True,
                             histogram_bins=None, histogram_range=None,
                             weights=None, yield_specs=None) -> EnsembleResult:
     """Evaluate a tolerance ensemble across supervised worker processes.
@@ -691,15 +684,13 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
                                   yield_specs)
     plan = shard_plan(values.shape[0], shard_size)
     fold = _EnsembleFold(
-        frequencies, values.shape[0], solver=solver,
-        store_responses=store_responses,
+        frequencies, values.shape[0], store_responses=store_responses,
         resilient=on_failure == "quarantine" or policy is not None,
         histogram_bins=histogram_bins, histogram_range=histogram_range,
         weights=weights, yield_specs=yield_specs)
     run = run_shards(circuit, output, frequencies, space, values, plan,
-                     solver=solver, method=method, on_failure=on_failure,
-                     policy=policy, workers=workers, config=config,
-                     fold=fold)
+                     method=method, on_failure=on_failure, policy=policy,
+                     workers=workers, config=config, fold=fold)
     info = ParallelRunInfo(workers=run.workers, shard_size=int(shard_size),
                            shards=len(plan), redispatches=run.redispatches,
                            attempts=run.attempts, statistics=fold.statistics)

@@ -800,19 +800,13 @@ def ua741_tolerance_space(tolerance=0.05):
 class MonteCarloEnsembleResult:
     """Vectorized ensemble engine vs the rebuild-per-sample baseline.
 
-    Three arms over the *same* sampled element values:
+    Two arms over the *same* sampled element values:
 
     * the rebuild baseline — one circuit copy + MNA build + production
       :class:`~repro.analysis.ac.ACAnalysis` sweep per sample,
-    * the vectorized engine with ``solver="lu"`` — same hand-rolled kernels,
-      assembly replayed by the value program; ``exact_deviation`` is its
-      worst absolute response difference against the baseline and the
-      acceptance bar is exactly 0.0 (the vectorization is a pure
-      reorganization of the rebuild path's arithmetic),
-    * the vectorized engine with ``solver="lapack"`` — the throughput
-      default; ``speedup`` is baseline time over this arm's time, and
-      ``batch_invariant`` asserts it returns bit-identical responses to the
-      same LAPACK solver applied one sample at a time.
+    * the vectorized LAPACK engine; ``speedup`` is baseline time over this
+      arm's time, and ``batch_invariant`` asserts it returns bit-identical
+      responses to the same LAPACK solver applied one sample at a time.
     """
 
     circuit_name: str
@@ -822,9 +816,6 @@ class MonteCarloEnsembleResult:
     num_axes: int
     rebuild_seconds: float
     vectorized_seconds: float
-    exact_arm_seconds: float
-    #: max |vectorized(lu) − rebuild| over every sample and frequency.
-    exact_deviation: float
     #: Worst relative deviation of the LAPACK arm vs the rebuild baseline
     #: (different factorization arithmetic, so ~1e-12, not 0).
     lapack_relative_deviation: float
@@ -838,13 +829,6 @@ class MonteCarloEnsembleResult:
             return float("inf")
         return self.rebuild_seconds / self.vectorized_seconds
 
-    @property
-    def exact_arm_speedup(self) -> float:
-        """Wall-clock ratio rebuild / vectorized (bit-exact LU arm)."""
-        if self.exact_arm_seconds == 0.0:
-            return float("inf")
-        return self.rebuild_seconds / self.exact_arm_seconds
-
     def describe(self) -> str:
         """One line for the experiment table."""
         return (
@@ -854,8 +838,6 @@ class MonteCarloEnsembleResult:
             f"rebuild {self.rebuild_seconds:6.2f} s, "
             f"vectorized {self.vectorized_seconds:6.2f} s "
             f"(speedup {self.speedup:4.1f}x), "
-            f"exact arm {self.exact_arm_seconds:6.2f} s "
-            f"dev {self.exact_deviation!r}, "
             f"lapack dev {self.lapack_relative_deviation:.2e}, "
             f"batch-invariant {'ok' if self.batch_invariant else 'NO'}"
         )
@@ -867,10 +849,10 @@ def run_montecarlo_ensemble(num_samples=256, num_points=200, tolerance=0.05,
                             repeats=3) -> List[MonteCarloEnsembleResult]:
     """Compare the vectorized ensemble engine against per-sample rebuilds.
 
-    Every circuit's tolerance ensemble is evaluated three ways over identical
+    Every circuit's tolerance ensemble is evaluated both ways over identical
     sampled values (see :class:`MonteCarloEnsembleResult`).  The vectorized
-    LAPACK arm takes the best wall-clock of ``repeats`` runs; the two slow
-    arms run once (their several-second durations are stable).
+    LAPACK arm takes the best wall-clock of ``repeats`` runs; the slow
+    rebuild runs once (its several-second duration is stable).
 
     Parameters
     ----------
@@ -893,7 +875,7 @@ def run_montecarlo_ensemble(num_samples=256, num_points=200, tolerance=0.05,
         for __ in range(repeats):
             start = time.perf_counter()
             vectorized = ensemble_sweep(circuit, spec, frequencies, space,
-                                        values=values, solver="lapack")
+                                        values=values)
             vectorized_seconds = min(vectorized_seconds,
                                      time.perf_counter() - start)
 
@@ -902,16 +884,9 @@ def run_montecarlo_ensemble(num_samples=256, num_points=200, tolerance=0.05,
                                 values=values, solver="lu")
         rebuild_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        exact = ensemble_sweep(circuit, spec, frequencies, space,
-                               values=values, solver="lu")
-        exact_arm_seconds = time.perf_counter() - start
-
         one_at_a_time = rebuild_sweep(circuit, spec, frequencies, space,
                                       values=values, solver="lapack")
 
-        exact_deviation = float(np.max(np.abs(exact.responses
-                                              - rebuild.responses)))
         scale = np.maximum(np.abs(rebuild.responses), np.finfo(float).tiny)
         lapack_deviation = float(np.max(
             np.abs(vectorized.responses - rebuild.responses) / scale))
@@ -923,8 +898,6 @@ def run_montecarlo_ensemble(num_samples=256, num_points=200, tolerance=0.05,
             num_axes=len(space),
             rebuild_seconds=rebuild_seconds,
             vectorized_seconds=vectorized_seconds,
-            exact_arm_seconds=exact_arm_seconds,
-            exact_deviation=exact_deviation,
             lapack_relative_deviation=lapack_deviation,
             batch_invariant=bool(np.array_equal(vectorized.responses,
                                                 one_at_a_time.responses)),
@@ -1339,7 +1312,7 @@ def run_compiled_model(num_samples=256, num_points=200, tolerance=0.05,
     for __ in range(repeats):
         start = time.perf_counter()
         matrix = ensemble_sweep(circuit, spec, frequencies, space,
-                                values=values, solver="lapack")
+                                values=values)
         matrix_seconds = min(matrix_seconds, time.perf_counter() - start)
 
     session = AnalysisSession()

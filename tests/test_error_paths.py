@@ -190,11 +190,9 @@ class TestExperimentErrorPaths:
         ensemble = MonteCarloEnsembleResult(
             circuit_name="x", dimension=3, num_samples=4,
             num_frequencies=2, num_axes=1, rebuild_seconds=1.0,
-            vectorized_seconds=0.0, exact_arm_seconds=0.0,
-            exact_deviation=0.0, lapack_relative_deviation=0.0,
+            vectorized_seconds=0.0, lapack_relative_deviation=0.0,
             batch_invariant=True)
         assert ensemble.speedup == float("inf")
-        assert ensemble.exact_arm_speedup == float("inf")
         assert "batch-invariant ok" in ensemble.describe()
 
     def test_screening_deviation_flags_none_mismatch(self):
@@ -233,7 +231,6 @@ class TestExperimentErrorPaths:
         result = experiments.run_montecarlo_ensemble(
             num_samples=6, num_points=5, repeats=1)[0]
         assert result.num_samples == 6 and result.num_frequencies == 5
-        assert result.exact_deviation == 0.0
         assert result.batch_invariant
         assert result.lapack_relative_deviation <= 1e-9
         assert "ua741" in result.describe()

@@ -18,8 +18,9 @@ The contract under test (ISSUE 9):
   :func:`~repro.montecarlo.checkpoint.checkpointed_ensemble_sweep`: a
   killed supervisor resumes with workers and still lands on the
   uninterrupted sequential run's exact bits;
-* worker :data:`~repro.engine.resilience.TELEMETRY` deltas are folded
-  exactly once each, so process-wide counters cover the whole ensemble.
+* each worker's shard :class:`~repro.engine.resilience.SweepReport` is
+  merged exactly once, so the run's report covers the whole ensemble —
+  under the ``spawn`` start method too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from faults import ensemble_faults, parallel_faults
 
 from repro.analysis.montecarlo import monte_carlo_analysis
 from repro.circuits.rc_ladder import build_rc_ladder
-from repro.engine.resilience import reset_telemetry, telemetry_snapshot
+from repro.engine.resilience import report_to_json
 from repro.errors import (FormulationError, ShardFailureError,
                           SingularMatrixError)
 from repro.montecarlo import (ParameterSpace, SupervisorConfig,
@@ -41,6 +42,7 @@ from repro.montecarlo import (ParameterSpace, SupervisorConfig,
                               ensemble_sweep, parallel_ensemble_sweep)
 from repro.montecarlo.parallel import (_default_workers, _start_method,
                                        run_shards, shard_plan)
+from repro.netlist.circuit import Circuit
 
 FREQUENCIES = np.logspace(1, 6, 5)
 
@@ -243,21 +245,46 @@ class TestFaultRecovery:
                     shard_size=8, workers=2, on_failure="raise",
                     config=FAST)
 
-    def test_telemetry_folded_exactly_once(self, ladder):
+    def test_worker_reports_merged_exactly_once(self, ladder):
         circuit, spec, space = ladder
         values = space.sample_values(32, seed=13)
         with ensemble_faults({6: "nan", 21: "nan"},
                              ensemble_values=values):
-            reset_telemetry()
-            parallel_ensemble_sweep(circuit, spec, FREQUENCIES, space,
-                                    values=values, shard_size=8, workers=2,
-                                    config=FAST)
-            counters = telemetry_snapshot()
-        # The counter ticks once per quarantined (sample, frequency) solve.
-        # Folded exactly once: a double fold would report twice this, a
-        # dropped delta less.  The solves happened in child processes.
-        assert counters["quarantined"] == 2 * len(FREQUENCIES)
-        assert counters["fast"] > 0
+            result = parallel_ensemble_sweep(
+                circuit, spec, FREQUENCIES, space, values=values,
+                shard_size=8, workers=2, config=FAST)
+        # One failure per quarantined (sample, frequency) solve.  Merged
+        # exactly once: a double merge would record twice this, a dropped
+        # report less.  The solves happened in child processes.
+        assert len(result.report.failures) == 2 * len(FREQUENCIES)
+        assert result.report.stage_counts["fast"] > 0
+
+    def test_spawned_workers_match_the_in_process_run(self):
+        # Spawned workers share no memory with the supervisor: the circuit,
+        # the values and each shard's SweepReport all cross the process
+        # boundary by pickling.  A conductance of 0 leaves n1 on C1 alone,
+        # singular at 0 Hz, so samples 1 and 4 quarantine.
+        circuit = Circuit("floating")
+        circuit.add_current_source("iin", "0", "n1", 1.0)
+        circuit.add_conductor("Gload", "n1", "0", 1e-3)
+        circuit.add_capacitor("C1", "n1", "0", 1e-9)
+        circuit.replace(circuit["Gload"].with_tolerance(0.5))
+        space = ParameterSpace(circuit)
+        values = np.array([[1e-3], [0.0], [2e-3], [1.5e-3], [0.0], [1.2e-3]])
+        frequencies = np.array([0.0, 1e3, 1e5])
+        runs = [parallel_ensemble_sweep(
+                    circuit, "n1", frequencies, space, values=values,
+                    shard_size=2, workers=workers, config=config)
+                for workers, config in (
+                    (1, None),
+                    (2, SupervisorConfig(start_method="spawn")))]
+        in_process, spawned = runs
+        assert spawned.parallel.workers == 2
+        for run in runs:
+            assert run.report.quarantined == [1, 4]
+        np.testing.assert_array_equal(spawned.responses, in_process.responses)
+        assert (report_to_json(spawned.report)
+                == report_to_json(in_process.report))
 
 
 class TestCheckpointComposition:

@@ -145,18 +145,17 @@ class TestMonteCarloVsRebuild:
         space = ParameterSpace(circuit, {name: 0.1 for name in names})
         frequencies = _PROBE_FREQUENCIES
         vectorized = ensemble_sweep(circuit, spec, frequencies, space,
-                                    samples=7, seed=seed, solver="lu")
-        reference = rebuild_sweep(circuit, spec, frequencies, space,
-                                  values=vectorized.values, solver="lu")
-        assert np.array_equal(vectorized.responses, reference.responses), seed
-
-        lapack = ensemble_sweep(circuit, spec, frequencies, space,
-                                values=vectorized.values, solver="lapack")
+                                    samples=7, seed=seed)
         one_at_a_time = rebuild_sweep(circuit, spec, frequencies, space,
                                       values=vectorized.values,
                                       solver="lapack")
-        assert np.array_equal(lapack.responses, one_at_a_time.responses), seed
-        assert _relative(reference.responses, lapack.responses) <= 1e-9, seed
+        assert np.array_equal(vectorized.responses,
+                              one_at_a_time.responses), seed
+
+        reference = rebuild_sweep(circuit, spec, frequencies, space,
+                                  values=vectorized.values, solver="lu")
+        assert _relative(reference.responses,
+                         vectorized.responses) <= 1e-9, seed
 
 
 #: Sweep grid for the post-layout-scale generator topologies (their poles
@@ -240,7 +239,7 @@ class TestSparseScreeningRanking:
 
 
 class TestSparseMonteCarloParity:
-    """``solver="lu"`` ensembles stay bit-exact above the dense cutoff."""
+    """Above the dense cutoff ensembles equal the ``solver="lu"`` rebuild."""
 
     @pytest.mark.parametrize("seed", SPARSE_MONTECARLO_SEEDS)
     def test_ensemble_bit_parity(self, seed):
@@ -251,7 +250,7 @@ class TestSparseMonteCarloParity:
         space = ParameterSpace(circuit, {name: 0.05 for name in names})
         frequencies = _SPARSE_PROBE_FREQUENCIES
         vectorized = ensemble_sweep(circuit, spec, frequencies, space,
-                                    samples=4, seed=seed, solver="lu")
+                                    samples=4, seed=seed)
         reference = rebuild_sweep(circuit, spec, frequencies, space,
                                   values=vectorized.values, solver="lu")
         assert np.array_equal(vectorized.responses, reference.responses), seed

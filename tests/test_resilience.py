@@ -30,14 +30,15 @@ from repro.analysis.sensitivity import element_sensitivities
 from repro.circuits import build_ua741
 from repro.circuits.rc_ladder import build_rc_ladder
 from repro.engine.resilience import (SolvePolicy, SweepReport,
-                                     reset_telemetry, resilient_dense_solve,
+                                     resilient_dense_solve,
                                      resilient_sparse_solve,
-                                     telemetry_snapshot)
+                                     solve_stack_resilient)
 from repro.engine.session import AnalysisSession
 from repro.engine.sweep import SweepEngine
 from repro.errors import (CheckpointError, LinAlgError, NetlistError,
                           SingularMatrixError, SolveFailureError,
                           ValidationError)
+from repro.linalg.dense import batched_solve
 from repro.linalg.sparse import SparseMatrix
 from repro.mna.builder import build_mna_system
 from repro.montecarlo import (ParameterSpace, Tolerance, checkpoint_info,
@@ -209,36 +210,69 @@ class TestResilientSparseSolve:
         assert "fast" in stages and "regularized" in stages
 
 
-class TestSweepQuarantineParity:
-    """Turning quarantine on must not change a fault-free result bit."""
+def _resilient_sweep(system, s, method):
+    """Solve ``system`` at every point of ``s`` through the escalation chain.
 
-    @pytest.mark.parametrize("method", ["dense", "sparse"])
-    def test_solve_sweep_bit_identical(self, ladder, method):
-        circuit, __, ___ = ladder
-        system = build_mna_system(circuit)
-        s = 2j * np.pi * FREQUENCIES
-        legacy = SweepEngine(system, method=method).solve_sweep(s, system.rhs)
-        engine = SweepEngine(system, method=method)
-        resilient = engine.solve_sweep(s, system.rhs, on_failure="quarantine")
-        assert np.array_equal(legacy, resilient)
-        assert engine.last_report is not None and engine.last_report.ok
-        assert engine.last_report.stage_counts["fast"] == len(s)
+    Dense: one :func:`solve_stack_resilient` call on the assembled stack.
+    Sparse: :func:`resilient_sparse_solve` point by point, carrying one
+    pivot pattern along the sweep in the sweep engine's elimination order.
+    Returns ``(solutions, report)``; quarantined points' rows are NaN.
+    """
+    policy = SolvePolicy()
+    report = SweepReport(kind="sweep point", total=len(s))
+
+    def describe(point):
+        return point, f"sweep point {point} (s={complex(s[point])!r})"
+
+    if method == "dense":
+        solutions = solve_stack_resilient(system.assemble_batch(s),
+                                          system.rhs, policy, report,
+                                          describe)
+        return solutions, report
+    n = system.dimension
+    keys, constant, dynamic = system.merged_sparse_structure()
+    order = SweepEngine(system, method="sparse").column_order()
+    solutions = np.full((len(s), n), np.nan, dtype=complex)
+    pattern = None
+    for point in range(len(s)):
+        matrix = SparseMatrix.from_entries(
+            n, n, zip(keys, (constant + s[point] * dynamic).tolist()))
+        index, description = describe(point)
+        try:
+            solutions[point], diagnostics, pattern = resilient_sparse_solve(
+                matrix, system.rhs, policy, pattern, order)
+        except SolveFailureError as error:
+            report.record_failure(index, description, str(error),
+                                  error.diagnostics.escalations)
+            continue
+        if diagnostics.stage == "fast":
+            report.record_fast()
+        else:
+            report.record_recovery(index, diagnostics)
+    return solutions, report
+
+
+def _fault_free(system, s, method):
+    """The plain solves a resilient sweep's healthy points must reproduce."""
+    if method == "dense":
+        return batched_solve(system.assemble_batch(s), system.rhs)
+    return SweepEngine(system, method="sparse").solve_sweep(s, system.rhs)
+
+
+class TestSweepQuarantineParity:
+    """Singular sweep points are quarantined or rescued, never fatal."""
 
     @pytest.mark.parametrize("method", ["dense", "sparse"])
     def test_singular_point_quarantined_not_fatal(self, method):
         circuit = build_driven_floating_at_dc()
         system = build_mna_system(circuit)
         s = np.array([0j, 2j * np.pi * 1e3])
-        engine = SweepEngine(system, method=method)
-        solutions = engine.solve_sweep(s, system.rhs,
-                                       on_failure="quarantine")
-        report = engine.last_report
+        solutions, report = _resilient_sweep(system, s, method)
         assert report.quarantined == [0]
         assert np.isnan(solutions[0]).all()
         assert "sweep point 0" in report.failures[0].description
         # The surviving point keeps its fault-free bits.
-        clean = SweepEngine(system, method=method).solve_sweep(
-            s[1:], system.rhs)
+        clean = _fault_free(system, s[1:], method)
         assert np.array_equal(solutions[1], clean[0])
         # The report renders.
         assert "quarantined" in format_sweep_report(report)
@@ -256,10 +290,7 @@ class TestSweepQuarantineParity:
         circuit.add_current_source("Ib", "b", "0", drive)
         system = build_mna_system(circuit)
         s = np.array([0j, 2j * np.pi * 1e3])
-        engine = SweepEngine(system, method=method)
-        solutions = engine.solve_sweep(s, system.rhs,
-                                       on_failure="quarantine")
-        report = engine.last_report
+        solutions, report = _resilient_sweep(system, s, method)
         assert report.quarantined == [0]
         assert np.isnan(solutions[0]).all()
         assert np.isfinite(solutions[1]).all()
@@ -272,36 +303,25 @@ class TestSweepQuarantineParity:
         circuit = build_floating_at_dc()
         system = build_mna_system(circuit)
         s = np.array([0j, 2j * np.pi * 1e3])
-        engine = SweepEngine(system, method=method)
-        solutions = engine.solve_sweep(s, system.rhs,
-                                       on_failure="quarantine")
-        report = engine.last_report
+        solutions, report = _resilient_sweep(system, s, method)
         assert report.quarantined == []
         assert report.recovered == [0]
         assert report.stage_counts["regularized"] == 1
         assert np.isfinite(solutions).all()
 
-    def test_raise_mode_carries_sweep_point(self):
-        circuit = build_driven_floating_at_dc()
-        system = build_mna_system(circuit)
-        engine = SweepEngine(system, method="dense")
-        with pytest.raises(SolveFailureError) as excinfo:
-            engine.solve_sweep(np.array([0j]), system.rhs,
-                               policy=SolvePolicy())
-        assert excinfo.value.sweep_point == 0
-
 
 class TestEnsembleQuarantine:
     """The ensemble acceptance path: injected faults → accurate reports."""
 
-    @pytest.mark.parametrize("solver", ["lapack", "lu"])
+    @pytest.mark.parametrize("solver", ["lapack"])
     def test_no_fault_bit_parity(self, ua741, solver):
         circuit, spec, space = ua741
         legacy = ensemble_sweep(circuit, spec, FREQUENCIES, space,
-                                samples=16, seed=2, solver=solver)
+                                samples=16, seed=2)
         resilient = ensemble_sweep(circuit, spec, FREQUENCIES, space,
-                                   samples=16, seed=2, solver=solver,
+                                   samples=16, seed=2,
                                    on_failure="quarantine")
+        assert legacy.solver == resilient.solver == solver
         assert np.array_equal(legacy.responses, resilient.responses)
         assert resilient.report.ok
         assert resilient.surviving_mask().all()
@@ -479,6 +499,21 @@ class TestCheckpointedEnsembles:
                                         path=path, samples=12, seed=3,
                                         shard_size=4)
 
+    def test_lu_checkpoint_refused(self, ladder, tmp_path):
+        # Earlier releases checkpointed solver="lu" runs, whose rows differ
+        # from the LAPACK solver's bits: resuming one must be refused.
+        circuit, spec, space, path = self._valid_checkpoint(ladder, tmp_path)
+        assert checkpoint_info(str(path))["solver"] == "lapack"
+        with np.load(str(path), allow_pickle=False) as archive:
+            state = {key: archive[key] for key in archive.files}
+        state["solver"] = np.array("lu")
+        with open(str(path), "wb") as handle:
+            np.savez(handle, **state)
+        with pytest.raises(CheckpointError, match="solver"):
+            checkpointed_ensemble_sweep(circuit, spec, FREQUENCIES, space,
+                                        path=str(path), samples=12, seed=3,
+                                        shard_size=6)
+
     def test_corrupt_checkpoint_rejected(self, ladder, tmp_path):
         circuit, spec, space = ladder
         path = tmp_path / "run.npz"
@@ -619,17 +654,17 @@ class TestToleranceValidation:
             Tolerance(0.05, distribution="triangular")
 
 
-class TestTelemetry:
-    """Resilience counters aggregate process-wide and surface in stats()."""
+class TestRunReport:
+    """A run's SweepReport is the one record of its escalations."""
 
-    def test_quarantine_counts_into_telemetry_and_session(self, ua741):
+    def test_quarantine_recorded_in_the_run_report_only(self, ua741):
         circuit, spec, space = ua741
-        reset_telemetry()
         with ensemble_faults({1: "singular"}):
-            ensemble_sweep(circuit, spec, FREQUENCIES[:3], space,
-                           samples=4, seed=0, on_failure="quarantine")
-        snapshot = telemetry_snapshot()
-        assert snapshot["quarantined"] >= 1
-        assert snapshot["fast"] >= 1
-        stats = AnalysisSession().stats()
-        assert stats["resilience"] == telemetry_snapshot()
+            result = ensemble_sweep(circuit, spec, FREQUENCIES[:3], space,
+                                    samples=4, seed=0,
+                                    on_failure="quarantine")
+        assert result.report.quarantined == [1]
+        # One failure per quarantined (sample, frequency) solve.
+        assert len(result.report.failures) == 3
+        assert result.report.stage_counts["fast"] >= 1
+        assert "resilience" not in AnalysisSession().stats()
