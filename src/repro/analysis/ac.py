@@ -12,11 +12,10 @@ assembled once, factorization structure shared across points).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
-from ..errors import FormulationError
 from ..mna.builder import build_mna_system
 from ..mna.solve import ac_sweep as mna_ac_sweep, operating_transfer
 from ..nodal.reduce import _normalize_output

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

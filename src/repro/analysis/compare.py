@@ -10,7 +10,6 @@ and worst relative complex error.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 

@@ -253,7 +253,7 @@ class MonteCarloResult:
 def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
                          samples=128, seed=0, tolerances=None,
                          method="auto", workers=None, processes=None,
-                         session=None, on_failure="raise", policy=None,
+                         session=None, on_failure="raise",
                          store_responses=True,
                          shard_size=1024) -> MonteCarloResult:
     """Run a Monte Carlo tolerance analysis of ``circuit``.
@@ -287,10 +287,9 @@ def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
         result is then memoized under ``(circuit, space, grid, samples,
         seed, method)`` and the nominal response shares the session's cached
         sweep factorizations.
-    on_failure, policy:
-        Resilience controls passed to :func:`repro.montecarlo.ensemble_sweep`
-        — ``on_failure="quarantine"`` masks failing samples instead of
-        raising, ``policy`` a :class:`~repro.engine.resilience.SolvePolicy`.
+    on_failure:
+        Passed to :func:`repro.montecarlo.ensemble_sweep` —
+        ``"quarantine"`` masks failing samples instead of raising.
         Resilient runs bypass the session memo (the quarantine report is a
         run artefact, not a cacheable response).
     store_responses, shard_size:
@@ -309,21 +308,21 @@ def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
     """
     if space is None:
         space = ParameterSpace(circuit, tolerances)
-    if (session is not None and on_failure == "raise" and policy is None
+    if (session is not None and on_failure == "raise"
             and store_responses and processes in (None, 1)):
         return session.montecarlo(circuit, output, frequencies, space,
                                   samples=samples, seed=seed, method=method,
                                   workers=workers)
     return _monte_carlo(circuit, output, frequencies, space, samples, seed,
                         method, workers, session=session,
-                        on_failure=on_failure, policy=policy,
+                        on_failure=on_failure,
                         processes=processes, store_responses=store_responses,
                         shard_size=shard_size)
 
 
 def _monte_carlo(circuit, output, frequencies, space, samples, seed,
                  method, workers, session=None, on_failure="raise",
-                 policy=None, processes=None, store_responses=True,
+                 processes=None, store_responses=True,
                  shard_size=1024) -> MonteCarloResult:
     """The analysis itself (no memoization) — session feeds the nominal sweep."""
     frequencies = np.asarray(frequencies, dtype=float)
@@ -333,14 +332,14 @@ def _monte_carlo(circuit, output, frequencies, space, samples, seed,
         ensemble = ensemble_sweep(circuit, output, frequencies, space,
                                   samples=samples, seed=seed, method=method,
                                   workers=workers, on_failure=on_failure,
-                                  policy=policy, **streaming)
+                                  **streaming)
     else:
         from ..montecarlo.parallel import parallel_ensemble_sweep
 
         ensemble = parallel_ensemble_sweep(
             circuit, output, frequencies, space, samples=samples, seed=seed,
             method=method, workers=processes, on_failure=on_failure,
-            policy=policy, **streaming)
+            **streaming)
     nominal = ACAnalysis(circuit, output, method=method,
                          session=session).frequency_response(frequencies)
     return MonteCarloResult(ensemble=ensemble, nominal_response=nominal,
@@ -597,7 +596,7 @@ class ImportanceYieldResult:
 def importance_yield(circuit, output, frequencies, specs, space=None, *,
                      samples=4096, seed=0, tolerances=None, shift=None,
                      scale=1.0, mixture=0.1, magnitude=3.0,
-                     method="auto", on_failure="quarantine", policy=None,
+                     method="auto", on_failure="quarantine",
                      shard_size=1024, histogram_bins=None,
                      histogram_range=None,
                      session=None) -> ImportanceYieldResult:
@@ -644,7 +643,7 @@ def importance_yield(circuit, output, frequencies, specs, space=None, *,
                                               scale=scale, mixture=mixture)
     ensemble = ensemble_sweep(circuit, output, frequencies, space,
                               values=values, method=method,
-                              on_failure=on_failure, policy=policy,
+                              on_failure=on_failure,
                               store_responses=False, shard_size=shard_size,
                               histogram_bins=histogram_bins,
                               histogram_range=histogram_range,

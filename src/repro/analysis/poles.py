@@ -13,7 +13,6 @@ back by ``λ``.
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 import numpy as np

@@ -28,7 +28,7 @@ conditions".  This package owns that machinery once, for every formulation:
 """
 
 from .formulation import Formulation, FormulationBase
-from .resilience import (SolveDiagnostics, SolvePolicy, SweepReport,
+from .resilience import (SolveDiagnostics, SweepReport,
                          resilient_dense_solve, resilient_sparse_solve)
 from .session import AnalysisSession
 from .sweep import SweepEngine, SweepFactors
@@ -39,7 +39,6 @@ __all__ = [
     "SweepEngine",
     "SweepFactors",
     "AnalysisSession",
-    "SolvePolicy",
     "SolveDiagnostics",
     "SweepReport",
     "resilient_dense_solve",

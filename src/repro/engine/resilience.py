@@ -1,4 +1,4 @@
-"""Resilient solve layer: escalation policies, diagnostics and quarantine.
+"""Resilient solve layer: one escalation chain, diagnostics and quarantine.
 
 The batched sweep and ensemble engines are throughput-first: one singular or
 ill-conditioned matrix aborts a whole run.  This module wraps those kernels in
@@ -21,11 +21,13 @@ factorizations or quarantine it with a precise, machine-readable report:
 
 A stage is *accepted* only when its solution is finite and its scaled
 residual ``‖Ax − b‖∞ / (‖A‖₁·‖x‖∞ + ‖b‖∞)`` — after up to
-:attr:`SolvePolicy.refinement_steps` rounds of iterative refinement — is at
-or below the policy's residual limit.  A 1-norm condition estimate (Hager's
-method on the packed dense LU, probe vectors on the sparse factorization)
-above the policy's condition limit flags the solution *degraded*: recorded,
-never silently dropped.  Every escalation is recorded in
+:data:`REFINEMENT_STEPS` rounds of iterative refinement — is at or below
+:data:`RESIDUAL_LIMIT`.  A solve accepted past the fast stage also gets a
+1-norm condition estimate (Hager's method on the packed dense LU, probe
+vectors on the sparse factorization); above :data:`CONDITION_LIMIT` it flags
+the solution *degraded*: recorded, never silently dropped.  The chain and
+its four constants are fixed, so a run's ``on_failure`` mode is its whole
+resilience configuration.  Every escalation is recorded in
 :class:`SolveDiagnostics`; per-run aggregation lives in
 :class:`SweepReport`, the one record of a run's escalations and quarantines.
 """
@@ -37,12 +39,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import LinAlgError, SingularMatrixError, SolveFailureError
-from ..linalg import config as linalg_config
-from ..linalg.dense import DenseLU, batched_dense_lu, batched_solve, dense_lu
+from ..errors import SingularMatrixError, SolveFailureError
+from ..linalg.dense import DenseLU, batched_solve, dense_lu
 from ..linalg.lu import sparse_lu, sparse_lu_reusing
 
-__all__ = ["SolvePolicy", "SolveDiagnostics", "EscalationRecord",
+__all__ = ["RESIDUAL_LIMIT", "CONDITION_LIMIT", "REFINEMENT_STEPS",
+           "REGULARIZATION", "SolveDiagnostics", "EscalationRecord",
            "FailureRecord", "RecoveryRecord", "SweepReport",
            "scaled_residual", "consistency_residual",
            "dense_condition_estimate",
@@ -53,89 +55,29 @@ __all__ = ["SolvePolicy", "SolveDiagnostics", "EscalationRecord",
 #: Escalation stages, in order of increasing desperation.
 STAGES = ("fast", "bitexact", "fresh", "regularized")
 
-#: Modes of the per-member condition estimate.
-_CONDITION_CHECKS = ("never", "escalated", "always")
+#: Largest acceptable scaled residual (see :func:`scaled_residual`); a stage
+#: whose solution scores above it is rejected and escalation continues.
+RESIDUAL_LIMIT = 1e-8
 
-#: Default relative diagonal shift of the ``regularized`` stage:
+#: 1-norm condition estimate above which an escalated solution is flagged
+#: *degraded* (reported, not rejected).
+CONDITION_LIMIT = 1e13
+
+#: Rounds of rescue-only iterative refinement attempted before a stage's
+#: residual is judged (each round is kept only when it improves it).
+REFINEMENT_STEPS = 1
+
+#: Relative diagonal shift of the ``regularized`` stage:
 #: ``ε = √(machine eps) · max|A|`` perturbs each diagonal by one part in
 #: ~10⁻⁸ of the largest entry — enough to factor a numerically singular
 #: matrix, small enough that a merely ill-conditioned one still passes its
 #: residual test against the original ``A``.
-_DEFAULT_REGULARIZATION = float(np.sqrt(np.finfo(float).eps))
+REGULARIZATION = float(np.sqrt(np.finfo(float).eps))
 
 
 # --------------------------------------------------------------------------- #
-# policy and diagnostics
+# diagnostics
 # --------------------------------------------------------------------------- #
-
-
-@dataclasses.dataclass(frozen=True)
-class SolvePolicy:
-    """What the escalation chain is allowed to do and what it must achieve.
-
-    Attributes
-    ----------
-    residual_limit:
-        Largest acceptable scaled residual (see :func:`scaled_residual`).
-        ``None`` reads :func:`repro.linalg.config.residual_limit`
-        (``REPRO_RESIDUAL_LIMIT``-overridable).
-    condition_limit:
-        1-norm condition estimate above which an accepted solution is flagged
-        *degraded*.  ``None`` reads
-        :func:`repro.linalg.config.condition_limit`.
-    refinement_steps:
-        Rounds of iterative refinement attempted before a stage's residual is
-        judged (each round keeps the refined iterate only when it improves
-        the residual).
-    regularization:
-        Relative diagonal shift of the last-resort stage:
-        ``ε = regularization · max|A|``.  ``None`` uses ``√(machine eps)``.
-    allow_regularization:
-        Gate the ``regularized`` stage entirely (``False`` quarantines after
-        the exact-factorization stages).
-    condition_check:
-        ``"escalated"`` (default) estimates the condition number only for
-        solves that left the fast path; ``"always"`` estimates it for every
-        member (factoring the stack a second time on the LAPACK fast path);
-        ``"never"`` skips the estimate.
-    """
-
-    residual_limit: Optional[float] = None
-    condition_limit: Optional[float] = None
-    refinement_steps: int = 1
-    regularization: Optional[float] = None
-    allow_regularization: bool = True
-    condition_check: str = "escalated"
-
-    def __post_init__(self):
-        if self.condition_check not in _CONDITION_CHECKS:
-            raise LinAlgError(
-                f"unknown condition_check {self.condition_check!r} "
-                f"(expected one of {_CONDITION_CHECKS})")
-        if self.refinement_steps < 0:
-            raise LinAlgError("refinement_steps must be non-negative")
-        for name in ("residual_limit", "condition_limit", "regularization"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0.0):
-                raise LinAlgError(f"{name} must be positive (got {value!r})")
-
-    def effective_residual_limit(self) -> float:
-        """The residual limit, resolving ``None`` against the configuration."""
-        if self.residual_limit is not None:
-            return self.residual_limit
-        return linalg_config.residual_limit()
-
-    def effective_condition_limit(self) -> float:
-        """The condition limit, resolving ``None`` against the configuration."""
-        if self.condition_limit is not None:
-            return self.condition_limit
-        return linalg_config.condition_limit()
-
-    def effective_regularization(self) -> float:
-        """The relative diagonal shift of the ``regularized`` stage."""
-        if self.regularization is not None:
-            return self.regularization
-        return _DEFAULT_REGULARIZATION
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,11 +101,11 @@ class SolveDiagnostics:
         Scaled residual of the accepted solution (``inf`` on failure).
     condition:
         1-norm condition estimate of the accepted factorization (``None``
-        when the policy skipped the estimate).
+        for a solve accepted at the fast stage, which is not estimated).
     refinements:
         Iterative-refinement rounds actually applied (improving rounds only).
     degraded:
-        True when ``condition`` exceeded the policy's condition limit.
+        True when ``condition`` exceeded :data:`CONDITION_LIMIT`.
     escalations:
         :class:`EscalationRecord` per rejected stage, in order.
     """
@@ -242,11 +184,7 @@ class SweepReport:
             residual=diagnostics.residual, condition=diagnostics.condition,
             escalations=diagnostics.escalations))
         if diagnostics.degraded:
-            self.record_degraded(index, diagnostics.condition)
-
-    def record_degraded(self, index, condition):
-        """Record an accepted solution whose condition estimate is over limit."""
-        self.degraded.append((index, condition))
+            self.degraded.append((index, diagnostics.condition))
 
     def record_failure(self, index, description, reason, escalations=()):
         """Record a quarantined index."""
@@ -563,21 +501,22 @@ def sparse_condition_estimate(factorization, matrix) -> float:
     return anorm * best
 
 
-def _refine(factorization, matrix, x, b, steps, limit):
+def _refine(factorization, matrix, x, b):
     """Rescue-only iterative refinement: ``x += F⁻¹(b − Ax)`` while failing.
 
-    Refinement runs only while the scaled residual is *above* ``limit`` — an
-    already-acceptable solution is returned untouched, so fast-path results
-    keep their exact bits.  ``factorization`` may be of a *regularized*
-    neighbour of ``matrix``: the residual is always measured against the
-    original system, so a shifted factorization either converges toward the
-    true solution or the stage is rejected honestly.
+    Up to :data:`REFINEMENT_STEPS` rounds run, and only while the scaled
+    residual is *above* :data:`RESIDUAL_LIMIT` — an already-acceptable
+    solution is returned untouched, so fast-path results keep their exact
+    bits.  ``factorization`` may be of a *regularized* neighbour of
+    ``matrix``: the residual is always measured against the original
+    system, so a shifted factorization either converges toward the true
+    solution or the stage is rejected honestly.
     Returns ``(x, residual, rounds_applied)``.
     """
     residual = scaled_residual(matrix, x, b)
     applied = 0
-    for __ in range(steps):
-        if residual <= limit or not np.isfinite(residual):
+    for __ in range(REFINEMENT_STEPS):
+        if residual <= RESIDUAL_LIMIT or not np.isfinite(residual):
             break
         defect = b - _matvec(matrix, x)
         try:
@@ -599,45 +538,57 @@ def _refine(factorization, matrix, x, b, steps, limit):
 # --------------------------------------------------------------------------- #
 
 
-def _finish(matrix, factorization, x, b, policy, stage, escalations,
-            estimate):
-    """Refine, judge and package one candidate stage's solution.
+def _attempt(stage, factor, matrix, rhs, escalations, estimate):
+    """Run one escalation stage: factor, solve, refine and judge.
 
-    Returns ``(accepted, x, SolveDiagnostics)``; on rejection the diagnostics
-    carry the stage's residual for the escalation record.
+    ``factor()`` returns the stage's factorization; ``estimate`` maps an
+    accepted factorization to its condition estimate.  Returns
+    ``(x, SolveDiagnostics, factorization)`` when the stage is accepted;
+    otherwise appends the stage's :class:`EscalationRecord` to
+    ``escalations`` and returns ``None``.
     """
-    limit = policy.effective_residual_limit()
-    x, residual, applied = _refine(factorization, matrix, x, b,
-                                   policy.refinement_steps, limit)
-    rejected = residual > limit
+    try:
+        factorization = factor()
+        x = factorization.solve(rhs)
+    except SingularMatrixError as error:
+        escalations.append(EscalationRecord(stage, str(error)))
+        return None
+    x, residual, applied = _refine(factorization, matrix, x, rhs)
+    rejected = residual > RESIDUAL_LIMIT
     if not rejected and stage == "regularized":
         # The shifted factorization did not see the true A: additionally
         # demand componentwise consistency, which the ‖x‖-scaled backward
         # error cannot certify when x blows up along a null-space direction
         # (exactly singular, inconsistent systems) — and which, unlike an
         # ‖b‖∞-relative test, cannot be fooled by a small drive magnitude.
-        consistency = consistency_residual(matrix, x, b)
-        rejected = consistency > float(np.sqrt(limit))
+        consistency = consistency_residual(matrix, x, rhs)
+        rejected = consistency > float(np.sqrt(RESIDUAL_LIMIT))
         if rejected:
             residual = max(residual, consistency)
     if rejected:
-        return False, x, SolveDiagnostics(
-            stage=stage, residual=residual, refinements=applied,
-            escalations=tuple(escalations))
-    condition = None
-    degraded = False
-    check = policy.condition_check
-    if check == "always" or (check == "escalated"
-                             and (stage != "fast" or escalations)):
-        condition = estimate(factorization)
-        degraded = condition > policy.effective_condition_limit()
-    return True, x, SolveDiagnostics(
+        escalations.append(EscalationRecord(
+            stage, f"residual {residual:.3e} above limit "
+            f"{RESIDUAL_LIMIT:.3e}"))
+        return None
+    condition = None if stage == "fast" else estimate(factorization)
+    return x, SolveDiagnostics(
         stage=stage, residual=residual, condition=condition,
-        refinements=applied, degraded=degraded,
-        escalations=tuple(escalations))
+        refinements=applied,
+        degraded=condition is not None and condition > CONDITION_LIMIT,
+        escalations=tuple(escalations)), factorization
 
 
-def resilient_dense_solve(matrix, rhs, policy=None, escalations=()):
+def _exhausted(dimension, escalations) -> SolveFailureError:
+    """The error of a chain whose every stage was rejected."""
+    return SolveFailureError(
+        "escalation chain exhausted without an acceptable solution",
+        dimension=dimension, stage="regularized",
+        diagnostics=SolveDiagnostics(
+            stage="regularized", residual=float("inf"),
+            escalations=tuple(escalations)))
+
+
+def resilient_dense_solve(matrix, rhs, escalations=()):
     """Escalating scalar solve of one dense system ``A x = b``.
 
     The chain past the fast stage: ``bitexact`` (scalar
@@ -650,7 +601,6 @@ def resilient_dense_solve(matrix, rhs, policy=None, escalations=()):
     Returns ``(x, SolveDiagnostics)``; raises :class:`SolveFailureError`
     when every stage is rejected.
     """
-    policy = policy or SolvePolicy()
     matrix = np.asarray(matrix, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
     escalations = list(escalations)
@@ -666,52 +616,22 @@ def resilient_dense_solve(matrix, rhs, policy=None, escalations=()):
     def estimate(factorization):
         return dense_condition_estimate(factorization, anorm)
 
-    # Stage: bitexact (fresh partial-pivoting scalar factorization).
-    try:
-        factorization = dense_lu(matrix)
-        x = factorization.solve(rhs)
-    except SingularMatrixError as error:
-        escalations.append(EscalationRecord("bitexact", str(error)))
-    else:
-        accepted, x, diagnostics = _finish(
-            matrix, factorization, x, rhs, policy, "bitexact", escalations,
-            estimate)
-        if accepted:
-            return x, diagnostics
-        escalations.append(EscalationRecord(
-            "bitexact", f"residual {diagnostics.residual:.3e} above limit "
-            f"{policy.effective_residual_limit():.3e}"))
+    def regularized():
+        shift = REGULARIZATION * max(anorm, 1.0)
+        return dense_lu(matrix + shift * np.eye(matrix.shape[0],
+                                                dtype=complex))
 
-    # Stage: regularized (factor A + εI, validate against A itself).
-    if policy.allow_regularization:
-        shift = policy.effective_regularization() * max(anorm, 1.0)
-        shifted = matrix + shift * np.eye(matrix.shape[0], dtype=complex)
-        try:
-            factorization = dense_lu(shifted)
-            x = factorization.solve(rhs)
-        except SingularMatrixError as error:
-            escalations.append(EscalationRecord("regularized", str(error)))
-        else:
-            accepted, x, diagnostics = _finish(
-                matrix, factorization, x, rhs, policy, "regularized",
-                escalations, estimate)
-            if accepted:
-                return x, diagnostics
-            escalations.append(EscalationRecord(
-                "regularized",
-                f"residual {diagnostics.residual:.3e} above limit "
-                f"{policy.effective_residual_limit():.3e}"))
-
-    raise SolveFailureError(
-        "escalation chain exhausted without an acceptable solution",
-        dimension=matrix.shape[0], stage="regularized",
-        diagnostics=SolveDiagnostics(
-            stage="regularized", residual=float("inf"),
-            escalations=tuple(escalations)))
+    accepted = (_attempt("bitexact", lambda: dense_lu(matrix), matrix, rhs,
+                         escalations, estimate)
+                or _attempt("regularized", regularized, matrix, rhs,
+                            escalations, estimate))
+    if accepted is None:
+        raise _exhausted(matrix.shape[0], escalations)
+    x, diagnostics, __ = accepted
+    return x, diagnostics
 
 
-def resilient_sparse_solve(matrix, rhs, policy=None, pattern=None,
-                           column_order=None):
+def resilient_sparse_solve(matrix, rhs, pattern=None, column_order=None):
     """Escalating solve of one sparse system, pattern-reuse aware.
 
     The full chain: ``fast`` (pivot-pattern refactorization via
@@ -728,7 +648,6 @@ def resilient_sparse_solve(matrix, rhs, policy=None, pattern=None,
     must not poison subsequent points).  Raises :class:`SolveFailureError`
     when every stage is rejected.
     """
-    policy = policy or SolvePolicy()
     rhs = np.asarray(rhs, dtype=complex)
     escalations: List[EscalationRecord] = []
     values = np.array([value for __, __, value in matrix.entries()],
@@ -744,81 +663,45 @@ def resilient_sparse_solve(matrix, rhs, policy=None, pattern=None,
         return sparse_condition_estimate(factorization, matrix)
 
     # Stages: fast (pattern reuse) / bitexact (fresh ordered).
-    factorization = None
     next_pattern = pattern
-    stage = "fast"
     try:
         factorization, next_pattern, refactored = sparse_lu_reusing(
             matrix, pattern, column_order=column_order)
+    except SingularMatrixError as error:
+        escalations.append(EscalationRecord("fast", str(error)))
+    else:
+        stage = "fast"
         if pattern is not None and not refactored:
             # The silent legacy fallback, made visible.
             escalations.append(EscalationRecord(
                 "fast", "reused pivot order rejected; "
                 "fresh ordered factorization"))
             stage = "bitexact"
-    except SingularMatrixError as error:
-        escalations.append(EscalationRecord(stage, str(error)))
-        factorization = None
-    if factorization is not None:
-        try:
-            x = factorization.solve(rhs)
-        except SingularMatrixError as error:
-            escalations.append(EscalationRecord(stage, str(error)))
-        else:
-            accepted, x, diagnostics = _finish(
-                matrix, factorization, x, rhs, policy, stage, escalations,
-                estimate)
-            if accepted:
-                return x, diagnostics, next_pattern
-            escalations.append(EscalationRecord(
-                stage, f"residual {diagnostics.residual:.3e} above limit "
-                f"{policy.effective_residual_limit():.3e}"))
+        accepted = _attempt(stage, lambda: factorization, matrix, rhs,
+                            escalations, estimate)
+        if accepted is not None:
+            x, diagnostics, __ = accepted
+            return x, diagnostics, next_pattern
 
     # Stage: fresh (full Markowitz search; skip when it would repeat the
-    # factorization that just failed — no order, no reusable pattern).
+    # factorization that just failed — no order, no reusable pattern).  Its
+    # factorization becomes the pattern for the next point.
     if column_order is not None or pattern is not None:
-        try:
-            factorization = sparse_lu(matrix)
-            x = factorization.solve(rhs)
-        except SingularMatrixError as error:
-            escalations.append(EscalationRecord("fresh", str(error)))
-        else:
-            accepted, x, diagnostics = _finish(
-                matrix, factorization, x, rhs, policy, "fresh", escalations,
-                estimate)
-            if accepted:
-                return x, diagnostics, factorization
-            escalations.append(EscalationRecord(
-                "fresh", f"residual {diagnostics.residual:.3e} above limit "
-                f"{policy.effective_residual_limit():.3e}"))
+        accepted = _attempt("fresh", lambda: sparse_lu(matrix), matrix, rhs,
+                            escalations, estimate)
+        if accepted is not None:
+            return accepted
 
-    # Stage: regularized (factor A + εI, validate against A itself).
-    if policy.allow_regularization:
-        anorm = _matrix_one_norm(matrix)
-        shift = policy.effective_regularization() * max(anorm, 1.0)
-        shifted = matrix.diagonally_shifted(shift)
-        try:
-            factorization = sparse_lu(shifted)
-            x = factorization.solve(rhs)
-        except SingularMatrixError as error:
-            escalations.append(EscalationRecord("regularized", str(error)))
-        else:
-            accepted, x, diagnostics = _finish(
-                matrix, factorization, x, rhs, policy, "regularized",
-                escalations, estimate)
-            if accepted:
-                return x, diagnostics, next_pattern
-            escalations.append(EscalationRecord(
-                "regularized",
-                f"residual {diagnostics.residual:.3e} above limit "
-                f"{policy.effective_residual_limit():.3e}"))
+    def regularized():
+        shift = REGULARIZATION * max(_matrix_one_norm(matrix), 1.0)
+        return sparse_lu(matrix.diagonally_shifted(shift))
 
-    raise SolveFailureError(
-        "escalation chain exhausted without an acceptable solution",
-        dimension=matrix.n_rows, stage="regularized",
-        diagnostics=SolveDiagnostics(
-            stage="regularized", residual=float("inf"),
-            escalations=tuple(escalations)))
+    accepted = _attempt("regularized", regularized, matrix, rhs, escalations,
+                        estimate)
+    if accepted is None:
+        raise _exhausted(matrix.n_rows, escalations)
+    x, diagnostics, __ = accepted
+    return x, diagnostics, next_pattern
 
 
 # --------------------------------------------------------------------------- #
@@ -841,12 +724,12 @@ def _stack_residuals(stack, solutions, rhs_stack) -> np.ndarray:
     return scaled
 
 
-def solve_stack_resilient(stack, rhs, policy, report, indexer) -> np.ndarray:
+def solve_stack_resilient(stack, rhs, report, indexer) -> np.ndarray:
     """Solve a ``(B, n, n)`` stack, escalating failing members individually.
 
     The fast stage is :func:`~repro.linalg.dense.batched_solve`; members it
-    cannot serve — singular members, non-finite rows, residuals over the
-    policy limit — are re-solved one by one through
+    cannot serve — singular members, non-finite rows, residuals over
+    :data:`RESIDUAL_LIMIT` — are re-solved one by one through
     :func:`resilient_dense_solve`.  The batched kernel is batch-size
     invariant, so surviving members keep exactly the bits a fault-free run
     would have produced.
@@ -855,8 +738,6 @@ def solve_stack_resilient(stack, rhs, policy, report, indexer) -> np.ndarray:
     ----------
     stack, rhs:
         The systems; ``rhs`` is one shared vector or a ``(B, n)`` stack.
-    policy:
-        The :class:`SolvePolicy`.
     report:
         The :class:`SweepReport` receiving per-member outcomes.
     indexer:
@@ -873,7 +754,6 @@ def solve_stack_resilient(stack, rhs, policy, report, indexer) -> np.ndarray:
     batch, n = stack.shape[0], stack.shape[1]
     rhs = np.asarray(rhs, dtype=complex)
     rhs_stack = (np.broadcast_to(rhs, (batch, n)) if rhs.ndim == 1 else rhs)
-    limit = policy.effective_residual_limit()
 
     singular = np.zeros(batch, dtype=bool)
     # A non-finite member is legal input here (it will be quarantined);
@@ -897,20 +777,8 @@ def solve_stack_resilient(stack, rhs, policy, report, indexer) -> np.ndarray:
         residuals = _stack_residuals(stack, np.where(finite[:, None],
                                                      solutions, 0.0),
                                      rhs_stack)
-    failing = singular | ~finite | (residuals > limit)
+    failing = singular | ~finite | (residuals > RESIDUAL_LIMIT)
     report.record_fast(int(batch - failing.sum()))
-
-    if policy.condition_check == "always":
-        # The Hager estimate needs the packed LU factors batched_solve
-        # does not expose.
-        factorization = batched_dense_lu(stack, overwrite=False)
-        for member in np.flatnonzero(~failing):
-            anorm = float(np.abs(stack[member]).sum(axis=0).max())
-            condition = dense_condition_estimate(
-                factorization.member(member), anorm)
-            if condition > policy.effective_condition_limit():
-                index, __ = indexer(int(member))
-                report.record_degraded(index, condition)
 
     for member in np.flatnonzero(failing):
         member = int(member)
@@ -921,12 +789,11 @@ def solve_stack_resilient(stack, rhs, policy, report, indexer) -> np.ndarray:
             reason = "fast batched solution is non-finite"
         else:
             reason = (f"fast batched residual {residuals[member]:.3e} "
-                      f"above limit {limit:.3e}")
+                      f"above limit {RESIDUAL_LIMIT:.3e}")
         fast_record = EscalationRecord("fast", reason)
         try:
             x, diagnostics = resilient_dense_solve(
-                stack[member], rhs_stack[member], policy,
-                escalations=(fast_record,))
+                stack[member], rhs_stack[member], escalations=(fast_record,))
         except SolveFailureError as error:
             solutions[member] = np.nan
             diagnostics = error.diagnostics

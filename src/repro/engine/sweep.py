@@ -267,7 +267,7 @@ class SweepEngine:
         return solutions
 
     def _resilient_sparse_points(self, keys, base, dynamic, factors, rhs,
-                                 policy, report, indexer):
+                                 report, indexer):
         """Yield ``(k, x)``: ``base + factors[k]·dynamic`` solved resiliently.
 
         The per-point resilient twin of :meth:`_sparse_chunks`, behind the
@@ -285,15 +285,15 @@ class SweepEngine:
                                                zip(keys, values.tolist()))
             index, description = indexer(k)
             yield k, self._resilient_sparse_point(
-                matrix, rhs, policy, report, index, description, order)
+                matrix, rhs, report, index, description, order)
 
-    def _resilient_sparse_point(self, matrix, rhs, policy, report, index,
+    def _resilient_sparse_point(self, matrix, rhs, report, index,
                                 description, order):
         """One resilient sparse solve, with engine counter / report upkeep."""
         had_pattern = self._sparse_pattern is not None
         try:
             x, diagnostics, self._sparse_pattern = resilient_sparse_solve(
-                matrix, rhs, policy, self._sparse_pattern, order)
+                matrix, rhs, self._sparse_pattern, order)
         except SolveFailureError as error:
             self.factorization_count += 1
             escalations = (error.diagnostics.escalations
@@ -306,8 +306,6 @@ class SweepEngine:
             else:
                 self.factorization_count += 1
             report.record_fast()
-            if diagnostics.degraded:
-                report.record_degraded(index, diagnostics.condition)
         else:
             self.factorization_count += 1
             report.record_recovery(index, diagnostics)

@@ -70,22 +70,19 @@ class SingularMatrixError(LinAlgError):
         if known.
     dimension:
         Dimension of the (square) matrix being factored, if known.
-    sample:
-        Ensemble-sample index, if the solve was part of a parameter sweep /
-        Monte Carlo ensemble.
     batch_index:
         Index of the offending matrix inside a batched (stacked) solve.
     stage:
-        Name of the :class:`repro.engine.resilience.SolvePolicy` escalation
-        stage that gave up, when the failure came out of the resilient layer.
+        Name of the escalation stage (see
+        :data:`repro.engine.resilience.STAGES`) that gave up, when the
+        failure came out of the resilient layer.
     """
 
     def __init__(self, message, *, pivot_index=None, dimension=None,
-                 sample=None, batch_index=None, stage=None):
+                 batch_index=None, stage=None):
         super().__init__(message)
         self.pivot_index = pivot_index
         self.dimension = dimension
-        self.sample = sample
         self.batch_index = batch_index
         self.stage = stage
 
@@ -94,9 +91,11 @@ class SolveFailureError(SingularMatrixError):
     """Raised when the resilient escalation chain exhausts every stage.
 
     A :class:`SingularMatrixError` subclass (callers catching the classic
-    error keep working), raised by ``on_failure="raise"`` resilient solves
-    with the full :class:`repro.engine.resilience.SolveDiagnostics` attached
-    as ``diagnostics``.
+    error keep working), raised by
+    :func:`repro.engine.resilience.resilient_dense_solve` and
+    :func:`~repro.engine.resilience.resilient_sparse_solve` with the full
+    :class:`repro.engine.resilience.SolveDiagnostics` attached as
+    ``diagnostics``.
     """
 
     def __init__(self, message, *, diagnostics=None, **context):

@@ -28,10 +28,7 @@ import os
 
 __all__ = ["DEFAULT_DENSE_CUTOFF", "DENSE_CUTOFF_ENV", "dense_cutoff",
            "use_dense", "DEFAULT_SPARSE_ORDERING", "SPARSE_ORDERING_ENV",
-           "SPARSE_ORDERINGS", "sparse_ordering",
-           "DEFAULT_RESIDUAL_LIMIT", "RESIDUAL_LIMIT_ENV",
-           "DEFAULT_CONDITION_LIMIT", "CONDITION_LIMIT_ENV",
-           "residual_limit", "condition_limit"]
+           "SPARSE_ORDERINGS", "sparse_ordering"]
 
 #: Default dimension at or below which the dense LU is used by ``"auto"``.
 DEFAULT_DENSE_CUTOFF = 150
@@ -79,45 +76,6 @@ def sparse_ordering() -> str:
         return DEFAULT_SPARSE_ORDERING
     value = raw.strip().lower()
     return value if value in SPARSE_ORDERINGS else DEFAULT_SPARSE_ORDERING
-
-
-#: Default scaled-residual acceptance limit of the resilient solve layer:
-#: an escalated solution with ``‖Ax − b‖∞ / (‖A‖₁·‖x‖∞ + ‖b‖∞)`` above this
-#: is rejected and escalation continues (see
-#: :class:`repro.engine.resilience.SolvePolicy`).
-DEFAULT_RESIDUAL_LIMIT = 1e-8
-
-#: Environment variable overriding :data:`DEFAULT_RESIDUAL_LIMIT`.
-RESIDUAL_LIMIT_ENV = "REPRO_RESIDUAL_LIMIT"
-
-#: Default 1-norm condition-estimate threshold above which a solution is
-#: flagged *degraded* in resilience diagnostics (reported, not rejected).
-DEFAULT_CONDITION_LIMIT = 1e13
-
-#: Environment variable overriding :data:`DEFAULT_CONDITION_LIMIT`.
-CONDITION_LIMIT_ENV = "REPRO_CONDITION_LIMIT"
-
-
-def _float_env(name, default) -> float:
-    """A positive-float environment override (invalid values → default)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value > 0.0 else default
-
-
-def residual_limit() -> float:
-    """The active resilience residual limit (env override, else the default)."""
-    return _float_env(RESIDUAL_LIMIT_ENV, DEFAULT_RESIDUAL_LIMIT)
-
-
-def condition_limit() -> float:
-    """The active resilience condition threshold (env override, else default)."""
-    return _float_env(CONDITION_LIMIT_ENV, DEFAULT_CONDITION_LIMIT)
 
 
 def use_dense(dimension, method="auto", cutoff=None) -> bool:

@@ -8,7 +8,6 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import LinAlgError
-from ..xfloat import XFloat
 from .config import use_dense
 from .dense import dense_lu
 from .lu import sparse_lu

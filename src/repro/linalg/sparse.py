@@ -9,7 +9,7 @@ queries, matrix-vector products, dense conversion and structural statistics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 

@@ -265,7 +265,7 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
                                 path, samples=128, seed=0, shard_size=32,
                                 max_shards=None, tolerances=None,
                                 method="auto", on_failure="quarantine",
-                                policy=None, workers=None, supervisor=None,
+                                workers=None, supervisor=None,
                                 store_responses=True, histogram_bins=None,
                                 histogram_range=None) -> CheckpointedRun:
     """Run (or resume) a tolerance ensemble with periodic checkpointing.
@@ -296,11 +296,11 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
         Stop after this many *new* shards (``finished=False`` in the
         result); ``None`` runs to completion.  This is the hook fault /
         kill tests use to stop a run at a deterministic point.
-    on_failure, policy:
-        Resilience controls, as for
-        :func:`~repro.montecarlo.engine.ensemble_sweep`; checkpointed runs
-        default to ``"quarantine"`` so one bad sample cannot waste hours of
-        completed work.
+    on_failure:
+        As for :func:`~repro.montecarlo.engine.ensemble_sweep`; checkpointed
+        runs default to ``"quarantine"`` so one bad sample cannot waste
+        hours of completed work.  With the escalation chain fixed, this and
+        ``method`` are the whole solve configuration a resume must match.
     workers, supervisor:
         The remaining shards run through
         :func:`~repro.montecarlo.parallel.run_shards`: in-process on the
@@ -344,7 +344,7 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
     store_responses = bool(store_responses)
     fold = _EnsembleFold(
         frequencies, samples, store_responses=store_responses,
-        resilient=on_failure == "quarantine" or policy is not None,
+        resilient=on_failure == "quarantine",
         histogram_bins=histogram_bins, histogram_range=histogram_range)
     bins = fold.statistics.histogram_bins
     low = fold.statistics.histogram_low_db
@@ -411,7 +411,7 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
         plan = plan[:max(0, int(max_shards))]
     in_process = workers is None or workers == 1
     run_shards(circuit, output, frequencies, space, values, plan,
-               method=method, on_failure=on_failure, policy=policy,
+               method=method, on_failure=on_failure,
                workers=1 if in_process else workers,
                config=supervisor, on_shard_complete=save, fold=fold,
                threads=None if in_process else 1)

@@ -42,11 +42,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine.resilience import (SolvePolicy, SweepReport,
-                                 solve_stack_resilient)
+from ..engine.resilience import SweepReport, solve_stack_resilient
 from ..engine.sweep import _METHODS, SweepEngine
-from ..errors import (FormulationError, SingularMatrixError,
-                      SolveFailureError)
+from ..errors import FormulationError, SingularMatrixError
 from ..linalg.dense import batched_solve
 from ..mna.builder import build_mna_system
 from ..nodal.reduce import _normalize_output, _output_terms, _project_output
@@ -184,7 +182,7 @@ def _default_workers() -> int:
 
 
 def _dense_ensemble(system, program, s, values, terms, workers=None,
-                    policy=None, report=None) -> np.ndarray:
+                    report=None) -> np.ndarray:
     """Chunked dense-path ensemble: assemble → factor → solve → project.
 
     Chunks are fully independent (the solver is batch-size invariant and
@@ -193,9 +191,9 @@ def _dense_ensemble(system, program, s, values, terms, workers=None,
     one chunk's factorization with another's assembly.  Threading cannot
     change a single result bit — it only reorders which chunk computes when.
 
-    With a resilient ``policy`` / ``report``, failing members escalate
-    through :func:`~repro.engine.resilience.solve_stack_resilient` and the
-    chunks run serially, so the report's records are deterministic.
+    With a ``report`` (a resilient run), failing members escalate through
+    :func:`~repro.engine.resilience.solve_stack_resilient` and the chunks
+    run serially, so the report's records are deterministic.
     """
     num_samples = values.shape[0]
     num_points = len(s)
@@ -204,11 +202,11 @@ def _dense_ensemble(system, program, s, values, terms, workers=None,
     constant_stack, dynamic_stack = program.dense_parts(values)
     rhs = system.rhs
     chunk = _ensemble_chunk_matrices(dimension)
-    resilient = policy is not None
+    resilient = report is not None
 
     def solve(flat, describe, indexer):
         if resilient:
-            return solve_stack_resilient(flat, rhs, policy, report, indexer)
+            return solve_stack_resilient(flat, rhs, report, indexer)
         return _solve_chunk(flat=flat, rhs=rhs, describe=describe)
 
     def run_split(sample, start):
@@ -286,7 +284,7 @@ def _dense_ensemble(system, program, s, values, terms, workers=None,
     return responses
 
 
-def _sparse_ensemble(engine, program, s, values, terms, policy=None,
+def _sparse_ensemble(engine, program, s, values, terms,
                      report=None) -> np.ndarray:
     """Sparse-path ensemble: per-sample values through one sweep engine.
 
@@ -297,9 +295,10 @@ def _sparse_ensemble(engine, program, s, values, terms, policy=None,
     along its own pivot order across the frequency axis, in the engine's
     compiled chunks.  Pivot choices are value-dependent through the
     threshold test, so sharing one pattern across samples would break
-    bit-parity with :func:`rebuild_sweep`.  A resilient run solves point by
-    point through the engine's escalation loop and stops a sample at its
-    first unrecoverable point.
+    bit-parity with :func:`rebuild_sweep`.  A resilient run (one with a
+    ``report``) solves point by point through the engine's escalation loop
+    and stops a sample at its first unrecoverable point; otherwise a
+    singular member raises, naming the sample and the point.
     """
     constant_keys, constant_values, dynamic_keys, dynamic_values = (
         program.sparse_values(values))
@@ -316,15 +315,24 @@ def _sparse_ensemble(engine, program, s, values, terms, policy=None,
     for sample in range(num_samples):
         engine._sparse_pattern = None
         solutions = np.zeros((len(s), engine.dimension), dtype=complex)
-        if policy is None:
-            for start, chunk in engine._sparse_chunks(
-                    keys, base[sample], dynamic[sample], s):
-                solutions[start:start + chunk.batch] = chunk.solve(rhs)
-                del chunk
+        if report is None:
+            point = 0
+            try:
+                for start, chunk in engine._sparse_chunks(
+                        keys, base[sample], dynamic[sample], s):
+                    solutions[start:start + chunk.batch] = chunk.solve(rhs)
+                    point = start + chunk.batch
+                    del chunk
+            except SingularMatrixError as error:
+                # Only the pivot search raises, at the first point not yet
+                # served.
+                raise SingularMatrixError(
+                    f"ensemble member {sample} at sweep point {point} "
+                    "is singular") from error
         else:
             before = len(report.failures)
             for k, solution in engine._resilient_sparse_points(
-                    keys, base[sample], dynamic[sample], s, rhs, policy,
+                    keys, base[sample], dynamic[sample], s, rhs,
                     report, lambda k, sample=sample: (
                         sample,
                         f"ensemble member {sample} at sweep point {k}")):
@@ -467,7 +475,7 @@ class _EnsembleFold:
 
 def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
                    samples=128, seed=0, method="auto", workers=None,
-                   on_failure="raise", policy=None,
+                   on_failure="raise",
                    store_responses=True, shard_size=1024,
                    histogram_bins=None, histogram_range=None,
                    weights=None, yield_specs=None) -> EnsembleResult:
@@ -499,15 +507,12 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
         worker count.  Resilient runs execute serially so the quarantine
         report is deterministic.
     on_failure:
-        ``"raise"`` (default): a singular member aborts the sweep — with no
-        ``policy`` this is the legacy path, bit-identical to prior releases.
-        ``"quarantine"``: failing members escalate through the
-        :class:`~repro.engine.resilience.SolvePolicy` chain, and samples
-        that remain unrecoverable are masked to NaN and named in
+        ``"raise"`` (default): the first singular member aborts the sweep
+        with a :class:`~repro.errors.SingularMatrixError` naming the sample
+        and the sweep point.  ``"quarantine"``: failing members escalate
+        through the fixed chain of :mod:`repro.engine.resilience`, and
+        samples that remain unrecoverable are masked to NaN and named in
         ``result.report`` instead of aborting the ensemble.
-    policy:
-        The escalation :class:`~repro.engine.resilience.SolvePolicy`
-        (defaults to ``SolvePolicy()`` when ``on_failure="quarantine"``).
     store_responses:
         ``False`` switches to **streaming estimation**: the ensemble is
         evaluated shard by shard (``shard_size`` samples at a time) and each
@@ -558,7 +563,7 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
     frequencies = np.asarray(frequencies, dtype=float)
     s = 2j * math.pi * frequencies
     values = _ensemble_values(space, values, samples, seed)
-    resilient = on_failure == "quarantine" or policy is not None
+    resilient = on_failure == "quarantine"
     if not store_responses:
         # Shard, fold, discard: each shard runs through the stored mode
         # (every backend / resilience path is the production one) and its
@@ -574,7 +579,7 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
             fold.absorb(ensemble_sweep(
                 circuit, output, frequencies, space,
                 values=values[start:stop], method=method, workers=workers,
-                on_failure=on_failure, policy=policy),
+                on_failure=on_failure),
                 start, stop)
         return fold.result(values, space, output)
     _reject_streaming_options(histogram_bins, histogram_range, weights,
@@ -585,24 +590,17 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
     program = ValueProgram.from_circuit(circuit, space)
     report = None
     if resilient:
-        policy = policy or SolvePolicy()
         report = SweepReport(label="ensemble member", kind="sample",
                              total=values.shape[0])
     if engine.is_dense:
         solver = "lapack"
         responses = _dense_ensemble(system, program, s, values, terms,
-                                    workers=workers, policy=policy,
-                                    report=report)
+                                    workers=workers, report=report)
     else:
         solver = "sparse"
         responses = _sparse_ensemble(engine, program, s, values, terms,
-                                     policy=policy, report=report)
-    if report is not None and report.failures:
-        if on_failure == "raise":
-            failure = report.failures[0]
-            raise SolveFailureError(
-                f"{failure.description} is singular: {failure.reason}",
-                sample=failure.index)
+                                     report=report)
+    if report is not None:
         # Quarantine whole samples: one bad point invalidates the member.
         responses[report.quarantined] = np.nan
     return EnsembleResult(frequencies=frequencies, values=values,

@@ -229,8 +229,7 @@ def _solve_shard(job, values, weights, start, stop, threads):
     return ensemble_sweep(
         job["circuit"], job["output"], job["frequencies"], job["space"],
         values=values[start:stop], method=job["method"], workers=threads,
-        on_failure=job["on_failure"], policy=job["policy"],
-        shard_size=stop - start,
+        on_failure=job["on_failure"], shard_size=stop - start,
         weights=None if weights is None else weights[start:stop],
         **job["streaming"])
 
@@ -381,7 +380,7 @@ def _shutdown(handles) -> None:
 
 
 def run_shards(circuit, output, frequencies, space, values, plan, *,
-               method="auto", on_failure="quarantine", policy=None,
+               method="auto", on_failure="quarantine",
                workers=None, config=None, on_shard_complete=None, fold=None,
                threads=1) -> ShardRun:
     """Execute a fixed shard plan and fold each shard in plan order.
@@ -421,7 +420,6 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
     payload = {
         "circuit": circuit, "output": output, "frequencies": frequencies,
         "space": space, "method": method, "on_failure": on_failure,
-        "policy": policy,
         "streaming": fold.streaming_options(),
         "num_samples": num_samples, "num_axes": num_axes,
         "num_points": num_points,
@@ -623,7 +621,7 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
                             values=None, samples=128, seed=0,
                             sampler="random", shard_size=32, workers=None,
                             method="auto", on_failure="quarantine",
-                            policy=None, config=None, store_responses=True,
+                            config=None, store_responses=True,
                             histogram_bins=None, histogram_range=None,
                             weights=None, yield_specs=None) -> EnsembleResult:
     """Evaluate a tolerance ensemble across supervised worker processes.
@@ -685,11 +683,11 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
     plan = shard_plan(values.shape[0], shard_size)
     fold = _EnsembleFold(
         frequencies, values.shape[0], store_responses=store_responses,
-        resilient=on_failure == "quarantine" or policy is not None,
+        resilient=on_failure == "quarantine",
         histogram_bins=histogram_bins, histogram_range=histogram_range,
         weights=weights, yield_specs=yield_specs)
     run = run_shards(circuit, output, frequencies, space, values, plan,
-                     method=method, on_failure=on_failure, policy=policy,
+                     method=method, on_failure=on_failure,
                      workers=workers, config=config, fold=fold)
     info = ParallelRunInfo(workers=run.workers, shard_size=int(shard_size),
                            shards=len(plan), redispatches=run.redispatches,

@@ -29,8 +29,9 @@ from repro.analysis.montecarlo import (MonteCarloResult, YieldSpec,
 from repro.analysis.sensitivity import element_sensitivities
 from repro.circuits import build_ua741
 from repro.circuits.rc_ladder import build_rc_ladder
-from repro.engine.resilience import (SolvePolicy, SweepReport,
-                                     resilient_dense_solve,
+from repro.engine.resilience import (CONDITION_LIMIT, REFINEMENT_STEPS,
+                                     REGULARIZATION, RESIDUAL_LIMIT,
+                                     SweepReport, resilient_dense_solve,
                                      resilient_sparse_solve,
                                      solve_stack_resilient)
 from repro.engine.session import AnalysisSession
@@ -101,39 +102,28 @@ def build_isolated_island():
     return circuit
 
 
-class TestSolvePolicy:
-    """Policy validation and configuration resolution."""
+class TestEscalationPolicy:
+    """The fixed limits of the escalation chain."""
 
-    def test_defaults_resolve_config(self):
-        policy = SolvePolicy()
-        assert policy.effective_residual_limit() == 1e-8
-        assert policy.effective_condition_limit() == 1e13
-        assert policy.effective_regularization() == pytest.approx(
-            np.sqrt(np.finfo(float).eps))
+    def test_fixed_defaults(self):
+        assert RESIDUAL_LIMIT == 1e-8
+        assert CONDITION_LIMIT == 1e13
+        assert REFINEMENT_STEPS == 1
+        assert REGULARIZATION == pytest.approx(np.sqrt(np.finfo(float).eps))
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESIDUAL_LIMIT", "1e-6")
-        monkeypatch.setenv("REPRO_CONDITION_LIMIT", "1e10")
-        policy = SolvePolicy()
-        assert policy.effective_residual_limit() == 1e-6
-        assert policy.effective_condition_limit() == 1e10
-
-    def test_invalid_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESIDUAL_LIMIT", "not-a-number")
-        assert SolvePolicy().effective_residual_limit() == 1e-8
-        monkeypatch.setenv("REPRO_RESIDUAL_LIMIT", "-3")
-        assert SolvePolicy().effective_residual_limit() == 1e-8
-
-    @pytest.mark.parametrize("kwargs", [
-        {"condition_check": "sometimes"},
-        {"refinement_steps": -1},
-        {"residual_limit": 0.0},
-        {"condition_limit": -1.0},
-        {"regularization": 0.0},
-    ])
-    def test_invalid_policy_rejected(self, kwargs):
-        with pytest.raises(LinAlgError):
-            SolvePolicy(**kwargs)
+    def test_escalated_ill_conditioned_solve_flagged_degraded(self):
+        # Accepted at the first escalated stage, but its ~1e15 condition
+        # estimate is over the limit: recorded as degraded, not rejected.
+        x, diagnostics = resilient_dense_solve(
+            np.array([[1.0, 0.0], [0.0, 1e-15]], dtype=complex),
+            np.array([1.0, 1e-15], dtype=complex))
+        assert diagnostics.stage == "bitexact"
+        assert diagnostics.condition > CONDITION_LIMIT
+        assert diagnostics.degraded
+        np.testing.assert_allclose(x, [1.0, 1.0])
+        report = SweepReport()
+        report.record_recovery(3, diagnostics)
+        assert report.degraded == [(3, diagnostics.condition)]
 
 
 class TestResilientDenseSolve:
@@ -175,15 +165,6 @@ class TestResilientDenseSolve:
         with pytest.raises(SolveFailureError, match="non-finite"):
             resilient_dense_solve(matrix, np.ones(3, dtype=complex))
 
-    def test_regularization_can_be_disabled(self):
-        matrix = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-        rhs = np.array([2.0, 2.0], dtype=complex)
-        policy = SolvePolicy(allow_regularization=False)
-        with pytest.raises(SolveFailureError) as excinfo:
-            resilient_dense_solve(matrix, rhs, policy)
-        stages = [r.stage for r in excinfo.value.diagnostics.escalations]
-        assert "regularized" not in stages
-
 
 class TestResilientSparseSolve:
     """The sparse chain: fast → bitexact → fresh → regularized."""
@@ -218,7 +199,6 @@ def _resilient_sweep(system, s, method):
     pivot pattern along the sweep in the sweep engine's elimination order.
     Returns ``(solutions, report)``; quarantined points' rows are NaN.
     """
-    policy = SolvePolicy()
     report = SweepReport(kind="sweep point", total=len(s))
 
     def describe(point):
@@ -226,8 +206,7 @@ def _resilient_sweep(system, s, method):
 
     if method == "dense":
         solutions = solve_stack_resilient(system.assemble_batch(s),
-                                          system.rhs, policy, report,
-                                          describe)
+                                          system.rhs, report, describe)
         return solutions, report
     n = system.dimension
     keys, constant, dynamic = system.merged_sparse_structure()
@@ -240,7 +219,7 @@ def _resilient_sweep(system, s, method):
         index, description = describe(point)
         try:
             solutions[point], diagnostics, pattern = resilient_sparse_solve(
-                matrix, system.rhs, policy, pattern, order)
+                matrix, system.rhs, pattern, order)
         except SolveFailureError as error:
             report.record_failure(index, description, str(error),
                                   error.diagnostics.escalations)
@@ -394,21 +373,6 @@ class TestEnsembleQuarantine:
         assert mask.sum() == 6
         assert np.array_equal(faulted.responses[mask], clean.responses[mask])
 
-    def test_near_singular_sample_flagged_degraded(self, ladder):
-        # ε = 1e-7 leaves the matrix comfortably solvable (backward-stable
-        # residuals) while its ~1/ε condition estimate crosses the policy's
-        # lowered limit: the sample must survive but be flagged degraded —
-        # and only that sample (the clean ladder sits far below the limit).
-        circuit, spec, space = ladder
-        policy = SolvePolicy(condition_check="always", condition_limit=1e8)
-        with ensemble_faults({5: "near_singular"}, epsilon=1e-7):
-            result = ensemble_sweep(circuit, spec, FREQUENCIES[:3], space,
-                                    samples=8, seed=3,
-                                    on_failure="quarantine", policy=policy)
-        assert result.report.quarantined == []
-        assert np.isfinite(result.responses[5]).all()
-        assert sorted({index for index, __ in result.report.degraded}) == [5]
-
     def test_all_quarantined_statistics_refuse(self, ua741):
         circuit, spec, space = ua741
         with ensemble_faults({0: "nan", 1: "nan", 2: "nan"}):
@@ -426,10 +390,25 @@ class TestEnsembleQuarantine:
     def test_raise_mode_names_sample(self, ua741):
         circuit, spec, space = ua741
         with ensemble_faults({2: "singular"}):
-            with pytest.raises(SolveFailureError) as excinfo:
+            with pytest.raises(SingularMatrixError,
+                               match="ensemble member 2 at sweep point 0"):
                 ensemble_sweep(circuit, spec, FREQUENCIES[:3], space,
-                               samples=4, seed=0, policy=SolvePolicy())
-        assert excinfo.value.sample == 2
+                               samples=4, seed=0)
+
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_raise_mode_names_member(self, method):
+        # A conductance of 0 leaves n1 on C1 alone: member 2 is singular at
+        # 0 Hz, the second point.  Both paths name the member and the point.
+        circuit = Circuit("floating")
+        circuit.add_current_source("iin", "0", "n1", 1.0)
+        circuit.add_conductor("Gload", "n1", "0", 1e-3)
+        circuit.add_capacitor("C1", "n1", "0", 1e-9)
+        circuit.replace(circuit["Gload"].with_tolerance(0.5))
+        with pytest.raises(SingularMatrixError,
+                           match="ensemble member 2 at sweep point 1"):
+            ensemble_sweep(circuit, "n1", [1e3, 0.0, 1e5],
+                           ParameterSpace(circuit),
+                           values=[[1e-3], [2e-3], [0.0]], method=method)
 
 
 class TestTransientFaults:
@@ -498,6 +477,14 @@ class TestCheckpointedEnsembles:
             checkpointed_ensemble_sweep(circuit, spec, FREQUENCIES, space,
                                         path=path, samples=12, seed=3,
                                         shard_size=4)
+        with pytest.raises(CheckpointError, match="on_failure"):
+            checkpointed_ensemble_sweep(circuit, spec, FREQUENCIES, space,
+                                        path=path, samples=12, seed=3,
+                                        shard_size=6, on_failure="raise")
+        with pytest.raises(CheckpointError, match="method"):
+            checkpointed_ensemble_sweep(circuit, spec, FREQUENCIES, space,
+                                        path=path, samples=12, seed=3,
+                                        shard_size=6, method="sparse")
 
     def test_lu_checkpoint_refused(self, ladder, tmp_path):
         # Earlier releases checkpointed solver="lu" runs, whose rows differ
