@@ -1,48 +1,32 @@
-"""E8 — SDG error control (Eq. 3) and the symbolic-kernel speedup.
+"""E8 — SDG error control (Eq. 3).
 
-Two claims are benchmarked here:
+The numerical reference lets SDG stop accumulating terms once the generated
+sum represents the required fraction of each coefficient.  Measured on the
+two-stage Miller OTA — the Eq. 3 budget must hold for every coefficient and
+the term count must collapse.
 
-* **Error control** (the paper's point): the numerical reference lets SDG
-  stop accumulating terms once the generated sum represents the required
-  fraction of each coefficient.  Measured on the two-stage Miller OTA — the
-  Eq. 3 budget must hold for every coefficient and the term count must
-  collapse.
-
-* **Kernel speedup** (PR 4): the µA741-macro symbolic generation + SDG
-  epsilon sweep runs ≥ 5x faster on the interned minor-memoized kernel than
-  on the pre-kernel path (``kernel="legacy"``: flat cofactor re-expansion and
-  scalar per-term valuation), with identical term multisets and coefficient
-  values within 1e-9 relative.
-
-Set ``REPRO_BENCH_REDUCED=1`` (the CI smoke mode) to run the kernel A/B on
-the Miller OTA instead: wall-clock shrinks to milliseconds, the equivalence
-assertions stay, the 5x floor (a large-workload property) is waived.
-
-Run standalone for the experiment table::
+Run standalone for the epsilon-sweep table::
 
     PYTHONPATH=src python benchmarks/bench_sdg.py
 """
 
 import math
-import os
 
 import pytest
 
+from repro.circuits.miller_ota import build_miller_ota
 from repro.interpolation.reference import generate_reference
-from repro.reporting.experiments import run_symbolic_kernel
 from repro.symbolic.generation import symbolic_network_function
 from repro.symbolic.sdg import simplification_during_generation
 
-
-def _reduced():
-    return os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
+EPSILONS = (0.1, 0.01, 0.001)
 
 
-def _check_kernel(result, reduced):
-    assert result.multisets_identical, result.describe()
-    assert result.max_coefficient_deviation <= 1e-9, result.describe()
-    if not reduced:
-        assert result.speedup >= 5.0, result.describe()
+def _check_error_control(result):
+    for report in result.reports:
+        if math.isfinite(report.achieved_error):
+            assert report.achieved_error <= result.epsilon * 1.5 + 1e-12, \
+                result.summary()
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +53,7 @@ def test_sdg_error_control(benchmark, miller, miller_reference, miller_symbolic)
     kept, total = result.total_terms()
     assert kept < total
     assert result.compression() > 0.5
-    for report in result.reports:
-        if math.isfinite(report.achieved_error):
-            assert report.achieved_error <= epsilon * 1.5 + 1e-12
+    _check_error_control(result)
 
 
 @pytest.mark.benchmark(group="sdg")
@@ -81,7 +63,7 @@ def test_sdg_epsilon_sweep_monotone(benchmark, miller, miller_reference,
 
     def sweep():
         kept_counts = []
-        for epsilon in (0.1, 0.01, 0.001):
+        for epsilon in EPSILONS:
             result = simplification_during_generation(
                 circuit, spec, miller_reference, epsilon=epsilon,
                 transfer_function=miller_symbolic)
@@ -92,23 +74,17 @@ def test_sdg_epsilon_sweep_monotone(benchmark, miller, miller_reference,
     assert kept_counts[0] <= kept_counts[1] <= kept_counts[2]
 
 
-@pytest.mark.benchmark(group="sdg")
-def test_symbolic_kernel_speedup(benchmark):
-    """µA741-macro generation + SDG sweep: ≥ 5x, byte-identical results."""
-    reduced = _reduced()
-    result = benchmark.pedantic(
-        lambda: run_symbolic_kernel(reduced=reduced), rounds=1, iterations=1)
-    _check_kernel(result, reduced)
-
-
 def main():
-    reduced = _reduced()
-    print("symbolic generation + SDG epsilon sweep, "
-          "interned kernel vs legacy path"
-          + (" [reduced]" if reduced else ""))
-    result = run_symbolic_kernel(reduced=reduced)
-    print(result.describe())
-    _check_kernel(result, reduced)
+    circuit, spec = build_miller_ota()
+    reference = generate_reference(circuit, spec)
+    transfer = symbolic_network_function(circuit, spec)
+    print("SDG epsilon sweep on the Miller OTA (Eq. 3 error control)")
+    for epsilon in EPSILONS:
+        result = simplification_during_generation(
+            circuit, spec, reference, epsilon=epsilon,
+            transfer_function=transfer)
+        print(result.summary())
+        _check_error_control(result)
 
 
 if __name__ == "__main__":

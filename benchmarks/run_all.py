@@ -2,8 +2,9 @@
 
 Two layers:
 
-* **Quantitative workloads** — the four engine A/B experiments
-  (batched sweep, rank-1 screening, analysis session, symbolic kernel) run
+* **Quantitative workloads** — the engine A/B experiments (batched sweep,
+  rank-1 screening, analysis session, Monte Carlo, parallel and streaming
+  ensembles, compiled model, sparse scaling) run
   through their :mod:`repro.reporting.experiments` runners and land in the
   snapshot as ``{workload, circuit, speedup, max_relative_deviation,
   seconds}`` records.  These are the library's perf trajectory: each PR's
@@ -15,13 +16,13 @@ Two layers:
 Modes::
 
     PYTHONPATH=src python benchmarks/run_all.py            # full trajectory
-    PYTHONPATH=src python benchmarks/run_all.py --smoke    # CI: symbolic
-                                                           # kernel reduced
+    PYTHONPATH=src python benchmarks/run_all.py --smoke    # CI: reduced
+                                                           # workloads
 
 ``--smoke`` sets ``REPRO_BENCH_REDUCED=1`` and runs only the reduced
-symbolic-kernel, Monte Carlo, compiled-model and sparse-scaling workloads —
-seconds instead of minutes, equivalence still asserted — so CI keeps the
-trajectory file fresh without paying for the full suite.
+Monte Carlo, parallel, streaming, compiled-model and sparse-scaling
+workloads — seconds instead of minutes, equivalence still asserted — so CI
+keeps the trajectory file fresh without paying for the full suite.
 """
 
 from __future__ import annotations
@@ -64,25 +65,9 @@ def run_quantitative(smoke=False):
         run_scaling_curve,
         run_sensitivity_screening,
         run_session_workload,
-        run_symbolic_kernel,
     )
 
     records = []
-
-    start = time.perf_counter()
-    kernel = run_symbolic_kernel(reduced=smoke)
-    records.append(_record(
-        "symbolic_kernel", kernel.circuit_name,
-        time.perf_counter() - start, kernel.speedup,
-        kernel.max_coefficient_deviation,
-        {"multisets_identical": kernel.multisets_identical,
-         "minor_hit_rate": round(kernel.minor_hit_rate, 3),
-         "terms": kernel.numerator_terms + kernel.denominator_terms}))
-    print(kernel.describe())
-    # The smoke run doubles as the CI equivalence gate (the bench's own
-    # assertions, minus the full-size 5x floor), so CI runs the workload once.
-    assert kernel.multisets_identical, kernel.describe()
-    assert kernel.max_coefficient_deviation <= 1e-9, kernel.describe()
 
     # Monte Carlo ensemble: reduced shape in smoke mode, with the
     # batch-invariance / 1e-9 equivalence gates asserted either way.
@@ -248,7 +233,7 @@ def run_scripted():
     sys.path.insert(0, str(BENCH_DIR))
     skip = {"run_all", "conftest"}
     quantitative = {"bench_batch_sweep", "bench_sensitivity", "bench_session",
-                    "bench_sdg", "bench_montecarlo", "bench_scaling",
+                    "bench_montecarlo", "bench_scaling",
                     "bench_compiled", "bench_parallel", "bench_streaming"}
     for path in sorted(BENCH_DIR.glob("bench_*.py")):
         module_name = path.stem
@@ -298,7 +283,7 @@ def append_snapshot(records, mode):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: reduced symbolic-kernel workload only")
+                        help="CI mode: reduced workloads only")
     parser.add_argument("--no-scripted", action="store_true",
                         help="skip the scripted paper-reproduction benches")
     args = parser.parse_args(argv)

@@ -340,8 +340,9 @@ class AnalysisSession:
 
         if max_terms is None:
             max_terms = DEFAULT_MAX_TERMS
-        # Lives in the transfer cache with a reserved kernel-slot marker
-        # (fingerprint stays key[0] so invalidate() matches it).
+        # Lives in the transfer cache; the trailing marker keeps it apart
+        # from the full transfer's key (fingerprint stays key[0] so
+        # invalidate() matches it).
         key = (self.fingerprint(circuit), self._spec_key(spec),
                admittance_transform, int(max_terms), "determinant-only")
 
@@ -358,7 +359,7 @@ class AnalysisSession:
         return self._get(self._symbolic_transfers, key, build)
 
     def symbolic_transfer(self, circuit, spec, max_terms=None,
-                          kernel="interned", admittance_transform=True):
+                          admittance_transform=True):
         """The circuit's full
         :class:`~repro.symbolic.generation.SymbolicTransferFunction`, cached
         by content (``symbolic_network_function(..., session=...)`` lands
@@ -369,26 +370,21 @@ class AnalysisSession:
         if max_terms is None:
             max_terms = DEFAULT_MAX_TERMS
         key = (self.fingerprint(circuit), self._spec_key(spec),
-               admittance_transform, int(max_terms), kernel)
+               admittance_transform, int(max_terms))
 
         def build():
             nodal = self.symbolic_nodal(
                 circuit, spec, admittance_transform=admittance_transform)
-            if kernel == "legacy":
-                return _transfer_from_nodal(nodal, spec, max_terms=max_terms,
-                                            kernel="legacy")
             engine, excitation = self.symbolic_engine(
                 circuit, spec, max_terms=max_terms,
                 admittance_transform=admittance_transform)
             return _transfer_from_nodal(nodal, spec, max_terms=max_terms,
-                                        kernel=kernel, engine=engine,
-                                        excitation=excitation)
+                                        engine=engine, excitation=excitation)
 
         return self._get(self._symbolic_transfers, key, build)
 
     def compiled_transfer(self, circuit, spec, free_symbols=None,
-                          max_terms=None, kernel="interned",
-                          admittance_transform=True):
+                          max_terms=None, admittance_transform=True):
         """The circuit's :class:`~repro.symbolic.compile.CompiledTransferModel`.
 
         Compile-once semantics per (circuit fingerprint, spec, free-symbol
@@ -405,13 +401,13 @@ class AnalysisSession:
         free_key = None if free_symbols is None else \
             tuple(str(name) for name in free_symbols)
         key = (self.fingerprint(circuit), self._spec_key(spec),
-               admittance_transform, int(max_terms), kernel, free_key)
+               admittance_transform, int(max_terms), free_key)
         model = self._compiled.get(key)
         if model is None:
             self.misses += 1
             self._compiled_stats["compiles"] += 1
             transfer = self.symbolic_transfer(
-                circuit, spec, max_terms=max_terms, kernel=kernel,
+                circuit, spec, max_terms=max_terms,
                 admittance_transform=admittance_transform)
             model = transfer.compile(free_symbols=free_key)
             self._compiled[key] = model

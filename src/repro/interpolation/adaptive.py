@@ -28,19 +28,16 @@ Step by step (for one polynomial, numerator or denominator):
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..errors import ConvergenceError, InterpolationError
+from ..errors import InterpolationError
 from ..xfloat import XFloat
 from .dft import inverse_dft_scaled
 from .points import unit_circle_points
 from .polynomial import Polynomial
 from .reduction import deflate_samples
-from .regions import ValidRegion, find_valid_region
+from .regions import find_valid_region
 from .scaling import (
     ScaleFactors,
     backward_update,
@@ -84,8 +81,6 @@ class AdaptiveOptions:
         Override the first-iteration heuristic factors.
     num_points:
         Override the degree bound + 1 point count of the full interpolations.
-    dft_method:
-        ``"fft"`` or ``"direct"``.
     """
 
     significant_digits: int = 6
@@ -96,7 +91,6 @@ class AdaptiveOptions:
     patience: int = 2
     initial_factors: Optional[ScaleFactors] = None
     num_points: Optional[int] = None
-    dft_method: str = "fft"
 
 
 @dataclasses.dataclass
@@ -404,7 +398,7 @@ class AdaptiveScalingInterpolator:
             pairs = deflate_samples(pairs, points, outside, first_unknown,
                                     factors, self.admittance_order)
 
-        values, exponent = inverse_dft_scaled(pairs, method=options.dft_method)
+        values, exponent = inverse_dft_scaled(pairs)
         try:
             region = find_valid_region(values, exponent,
                                        options.significant_digits)
@@ -415,8 +409,9 @@ class AdaptiveScalingInterpolator:
         log10_by_power: Dict[int, float] = {}
         consistency = 0.0
         if region is not None:
-            denormalized = self._denormalize_window(values, exponent, factors,
-                                                    offset)
+            denormalized = denormalize_coefficients(
+                values, exponent, factors, self.admittance_order,
+                first_power=offset)
             for relative_index in region.indices:
                 power = offset + relative_index
                 if power > degree_bound:
@@ -450,27 +445,6 @@ class AdaptiveScalingInterpolator:
         record.new_values = new_values
         record.log10_by_power = log10_by_power
         return record
-
-    def _denormalize_window(self, values, exponent, factors, offset):
-        """Denormalize a window of coefficients starting at power ``offset``."""
-        values = np.asarray(values, dtype=complex)
-        result: List[XFloat] = []
-        for relative_index, value in enumerate(values):
-            power = offset + relative_index
-            real = float(value.real)
-            if real == 0.0:
-                result.append(XFloat.zero())
-                continue
-            log_magnitude = (
-                math.log10(abs(real))
-                + exponent
-                - power * factors.log10_frequency
-                - (self.admittance_order - power) * factors.log10_conductance
-            )
-            result.append(
-                XFloat.from_log10(log_magnitude, math.copysign(1.0, real))
-            )
-        return result
 
 
 def _log10_deviation(first: XFloat, second: XFloat) -> float:

@@ -11,13 +11,12 @@ building block the adaptive algorithm calls repeatedly.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..errors import InterpolationError
 from ..netlist.transform import to_admittance_form
-from ..nodal.reduce import TransferSpec
 from ..nodal.sampler import NetworkFunctionSampler
 from ..xfloat import XFloat
 from .dft import inverse_dft_scaled
@@ -130,8 +129,7 @@ class NetworkInterpolation:
 
 def interpolate_polynomial(sampler, kind="denominator",
                            factors=ScaleFactors(), num_points=None,
-                           significant_digits=6,
-                           dft_method="fft") -> InterpolationResult:
+                           significant_digits=6) -> InterpolationResult:
     """One interpolation of the numerator or denominator polynomial.
 
     Parameters
@@ -154,15 +152,14 @@ def interpolate_polynomial(sampler, kind="denominator",
         num_points = sampler.max_polynomial_degree() + 1
     points = unit_circle_points(num_points)
     samples = sampler.sample_many(points, factors.conductance, factors.frequency)
-    return _interpolate(sampler, kind, samples, factors, significant_digits,
-                        dft_method)
+    return _interpolate(sampler, kind, samples, factors, significant_digits)
 
 
-def _interpolate(sampler, kind, samples, factors, significant_digits,
-                 dft_method) -> InterpolationResult:
+def _interpolate(sampler, kind, samples, factors,
+                 significant_digits) -> InterpolationResult:
     """Inverse DFT and valid region of one polynomial's ``samples``."""
     pairs = [getattr(sample, kind) for sample in samples]
-    values, exponent = inverse_dft_scaled(pairs, method=dft_method)
+    values, exponent = inverse_dft_scaled(pairs)
     admittance_order = (sampler.formulation.denominator_admittance_order
                         if kind == "denominator"
                         else sampler.formulation.numerator_admittance_order)
@@ -184,7 +181,7 @@ def _interpolate(sampler, kind, samples, factors, significant_digits,
 
 def interpolate_network_function(circuit, spec, factors=ScaleFactors(),
                                  num_points=None, significant_digits=6,
-                                 dft_method="fft", method="auto",
+                                 method="auto",
                                  admittance_transform=True) -> NetworkInterpolation:
     """Interpolate numerator and denominator of a circuit's network function.
 
@@ -210,6 +207,6 @@ def interpolate_network_function(circuit, spec, factors=ScaleFactors(),
     samples = sampler.sample_many(points, factors.conductance, factors.frequency)
     return NetworkInterpolation(
         numerator=_interpolate(sampler, "numerator", samples, factors,
-                               significant_digits, dft_method),
+                               significant_digits),
         denominator=_interpolate(sampler, "denominator", samples, factors,
-                                 significant_digits, dft_method))
+                                 significant_digits))

@@ -8,8 +8,8 @@ coefficients follow from the inverse DFT (Eq. 5 of the paper):
 Two entry points are provided:
 
 * :func:`inverse_dft` — plain complex samples (numpy array in, numpy array
-  out), with a direct ``O(K²)`` reference implementation and a numpy-FFT fast
-  path that are tested against each other;
+  out) through numpy's FFT, tested against the direct ``O(K²)`` reference
+  :func:`inverse_dft_direct`;
 * :func:`inverse_dft_scaled` — samples given as ``(mantissa, exponent)`` pairs
   (the sampler's extended-range representation).  The whole batch is rescaled
   by a common power of ten before the transform, and that common exponent is
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -53,15 +53,13 @@ def inverse_dft_direct(samples) -> np.ndarray:
     return coefficients
 
 
-def inverse_dft(samples, method="fft") -> np.ndarray:
+def inverse_dft(samples) -> np.ndarray:
     """Inverse DFT of equally spaced unit-circle samples.
 
     Parameters
     ----------
     samples:
         ``P(s_k)`` for ``s_k = exp(2πjk/K)``, ``k = 0..K-1``.
-    method:
-        ``"fft"`` (numpy, default) or ``"direct"`` (the O(K²) reference).
 
     Returns
     -------
@@ -71,15 +69,11 @@ def inverse_dft(samples, method="fft") -> np.ndarray:
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 1 or samples.shape[0] == 0:
         raise InterpolationError("samples must be a non-empty 1-D sequence")
-    if method == "direct":
-        return inverse_dft_direct(samples)
-    if method != "fft":
-        raise InterpolationError(f"unknown inverse DFT method {method!r}")
     # numpy.fft.fft computes sum x_k exp(-2πjik/K), i.e. exactly K * p_i.
     return np.fft.fft(samples) / samples.shape[0]
 
 
-def inverse_dft_scaled(samples, method="fft") -> Tuple[np.ndarray, int]:
+def inverse_dft_scaled(samples) -> Tuple[np.ndarray, int]:
     """Inverse DFT of extended-range samples.
 
     Parameters
@@ -87,8 +81,6 @@ def inverse_dft_scaled(samples, method="fft") -> Tuple[np.ndarray, int]:
     samples:
         Sequence of ``(mantissa, exponent)`` pairs representing
         ``mantissa * 10**exponent`` with complex mantissas.
-    method:
-        Passed through to :func:`inverse_dft`.
 
     Returns
     -------
@@ -116,4 +108,4 @@ def inverse_dft_scaled(samples, method="fft") -> Tuple[np.ndarray, int]:
     rescaled = np.zeros(len(pairs), dtype=complex)
     rescaled[keep] = mantissas[keep] * _POW10[shifts[keep]
                                               - _POW10_SHIFT_FLOOR]
-    return inverse_dft(rescaled, method=method), common
+    return inverse_dft(rescaled), common

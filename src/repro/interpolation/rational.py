@@ -9,9 +9,8 @@ phase over a log-frequency sweep) and by the SBG/SDG error-control consumers
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..errors import InterpolationError
-from ..xfloat import XFloat
-from .scaling import ScaleFactors, normalize_coefficient
+from .scaling import normalize_coefficient
 
 __all__ = ["deflate_samples", "deflation_point_count"]
 

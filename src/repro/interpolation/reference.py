@@ -11,17 +11,16 @@ function for frequency-domain comparisons).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 
-from ..errors import InterpolationError, ReferenceError_
+from ..errors import ReferenceError_
 from ..netlist.transform import to_admittance_form
 from ..nodal.reduce import TransferSpec
 from ..nodal.sampler import NetworkFunctionSampler
 from ..xfloat import XFloat
 from .adaptive import AdaptiveOptions, AdaptiveResult, AdaptiveScalingInterpolator
-from .polynomial import Polynomial
 from .rational import RationalFunction
 
 __all__ = ["NumericalReference", "generate_reference"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -135,7 +135,7 @@ def normalize_coefficient(coefficient, power, admittance_order, factors):
 
 
 def denormalize_coefficients(values, common_exponent, factors,
-                             admittance_order) -> List[XFloat]:
+                             admittance_order, first_power=0) -> List[XFloat]:
     """Convert normalized interpolation output to true coefficients.
 
     Parameters
@@ -149,6 +149,8 @@ def denormalize_coefficients(values, common_exponent, factors,
     admittance_order:
         ``M`` of Eq. (11) — matrix dimension for the denominator, one less for
         a current-driven numerator.
+    first_power:
+        Power of ``s`` of ``values[0]`` (a deflated window starts above 0).
 
     Returns
     -------
@@ -158,7 +160,7 @@ def denormalize_coefficients(values, common_exponent, factors,
     """
     values = np.asarray(values, dtype=complex)
     result: List[XFloat] = []
-    for power, value in enumerate(values):
+    for power, value in enumerate(values, start=first_power):
         real = float(value.real)
         if real == 0.0:
             result.append(XFloat.zero())

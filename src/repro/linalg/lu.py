@@ -3,9 +3,9 @@
 The factorization computes ``P A Q = L U`` where ``P`` and ``Q`` are row and
 column permutations chosen at each elimination step by the Markowitz
 criterion: among numerically acceptable pivots (magnitude at least
-``threshold`` times the largest magnitude in the candidate's column), pick the
-entry minimizing ``(r_i - 1)(c_j - 1)`` — the classical fill-in heuristic used
-by sparse circuit simulators.
+:data:`PIVOT_THRESHOLD` times the largest magnitude in the candidate's
+column), pick the entry minimizing ``(r_i - 1)(c_j - 1)`` — the classical
+fill-in heuristic used by sparse circuit simulators.
 
 Two results matter downstream:
 
@@ -38,6 +38,11 @@ from ..xfloat import TrackedDeterminant, decimal_complex
 __all__ = ["sparse_lu", "sparse_lu_refactor", "sparse_lu_reusing",
            "LUFactorization", "RefactorSchedule", "BatchedSparseLU",
            "SparseLUMember"]
+
+#: Relative threshold ``u`` for numerically acceptable pivots: a candidate
+#: ``a_ij`` is acceptable when ``|a_ij| >= u * max_i |a_ij|`` over its active
+#: column.  Smaller values favour sparsity over numerical safety.
+PIVOT_THRESHOLD = 0.1
 
 #: Pivots whose normalized mantissas (magnitude in ``[1, 10)``) are
 #: multiplied before renormalizing: their product stays below ``1e256``.
@@ -180,31 +185,28 @@ class LUFactorization(TrackedDeterminant):
         return np.column_stack(columns)
 
 
-def sparse_lu(matrix, threshold=0.1, pivoting="markowitz", column_order=None):
+def sparse_lu(matrix, column_order=None):
     """Factor a square :class:`~repro.linalg.sparse.SparseMatrix`.
+
+    Without ``column_order`` every step runs the Markowitz search over the
+    active submatrix, accepting pivots that pass the
+    :data:`PIVOT_THRESHOLD` test against their column maximum.
 
     Parameters
     ----------
     matrix:
         Square sparse matrix (it is not modified).
-    threshold:
-        Relative threshold ``u`` for numerically acceptable pivots: a candidate
-        ``a_ij`` is acceptable when ``|a_ij| >= u * max_i |a_ij|`` over its
-        column.  Smaller values favour sparsity over numerical safety.
-    pivoting:
-        ``"markowitz"`` (default) or ``"partial"`` (plain column-order with
-        row pivoting, mostly useful for tests).
     column_order:
         Optional fill-reducing elimination order (a permutation of
         ``range(n)``, e.g. from
         :func:`~repro.linalg.ordering.fill_reducing_order`): step ``k``
         eliminates column ``column_order[k]``, preferring the structurally
         symmetric pivot row ``column_order[k]`` when its magnitude passes the
-        ``threshold`` test against the column maximum, else falling back to
+        threshold test against the column maximum, else falling back to
         the largest-magnitude row (threshold partial pivoting).  This replaces
         the O(active²) per-step Markowitz search with an O(column) choice —
         the production configuration for pre-ordered post-layout-scale
-        matrices.  Overrides ``pivoting``.
+        matrices.
 
     Returns
     -------
@@ -219,8 +221,6 @@ def sparse_lu(matrix, threshold=0.1, pivoting="markowitz", column_order=None):
     """
     if matrix.n_rows != matrix.n_cols:
         raise LinAlgError("LU factorization requires a square matrix")
-    if pivoting not in ("markowitz", "partial"):
-        raise LinAlgError(f"unknown pivoting strategy {pivoting!r}")
     n = matrix.n_rows
     if column_order is not None:
         column_order = [int(col) for col in column_order]
@@ -250,11 +250,11 @@ def sparse_lu(matrix, threshold=0.1, pivoting="markowitz", column_order=None):
     for step in range(n):
         if column_order is not None:
             pivot_row, pivot_col = _select_ordered_pivot(
-                rows, col_index, active_rows, threshold, column_order[step]
+                rows, col_index, active_rows, column_order[step]
             )
         else:
             pivot_row, pivot_col = _select_pivot(
-                rows, col_index, active_rows, active_cols, threshold, pivoting
+                rows, col_index, active_rows, active_cols
             )
         if pivot_row is None:
             raise SingularMatrixError(
@@ -790,7 +790,7 @@ def sparse_lu_reusing(matrix, pattern, stability=1e-8, column_order=None):
     return factorization, factorization, False
 
 
-def _select_ordered_pivot(rows, col_index, active_rows, threshold, col):
+def _select_ordered_pivot(rows, col_index, active_rows, col):
     """Pivot for one pre-ordered elimination step: column ``col``, preferring
     the structurally symmetric row ``col`` under threshold partial pivoting.
     Returns ``(row, col)`` or ``(None, None)`` when the column has no usable
@@ -805,27 +805,15 @@ def _select_ordered_pivot(rows, col_index, active_rows, threshold, col):
         return None, None
     if col in active_rows:
         diagonal = rows[col].get(col)
-        if diagonal is not None and abs(diagonal) >= threshold * column_max:
+        if (diagonal is not None
+                and abs(diagonal) >= PIVOT_THRESHOLD * column_max):
             return col, col
     return best_row, col
 
 
-def _select_pivot(rows, col_index, active_rows, active_cols, threshold,
-                  pivoting):
+def _select_pivot(rows, col_index, active_rows, active_cols):
     """Pick the next pivot; returns ``(row, col)`` or ``(None, None)``."""
     if not active_rows:
-        return None, None
-
-    if pivoting == "partial":
-        # Eliminate the lowest-numbered active column, choosing the largest
-        # magnitude entry in that column.
-        for col in sorted(active_cols):
-            candidates = [i for i in col_index[col] if i in active_rows]
-            if not candidates:
-                continue
-            best_row = max(candidates, key=lambda i: abs(rows[i][col]))
-            if abs(rows[best_row][col]) > 0.0:
-                return best_row, col
         return None, None
 
     # Markowitz with threshold pivoting.
@@ -845,7 +833,7 @@ def _select_pivot(rows, col_index, active_rows, active_cols, threshold,
         col_count = len(col_rows)
         for i in col_rows:
             magnitude = abs(rows[i][col])
-            if magnitude < threshold * col_max or magnitude == 0.0:
+            if magnitude < PIVOT_THRESHOLD * col_max or magnitude == 0.0:
                 continue
             cost = (row_counts[i] - 1) * (col_count - 1)
             if (best_cost is None or cost < best_cost

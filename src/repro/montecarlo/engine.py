@@ -38,7 +38,7 @@ import concurrent.futures
 import dataclasses
 import math
 import os
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -160,20 +160,50 @@ class EnsembleResult:
                 f"{mode}, solver={self.solver!r})")
 
 
+def _member_error(text, member, **context):
+    """A raise-mode error naming the ensemble sample ``member``.
+
+    ``text`` names the sample through a ``{member}`` field.  Both ride on
+    the error, so a caller that solves the run shard by shard can count the
+    member from the run's first sample (:func:`_rebase_member_error`).
+    """
+    error = SingularMatrixError(text.format(member=member), **context)
+    error.member, error.member_text = member, text
+    return error
+
+
+def _rebase_member_error(error, start) -> NoReturn:
+    """Re-raise a shard's raise-mode ``error`` with its member counted from
+    ``start``.
+
+    A shard solves ``values[start:stop]`` through :func:`ensemble_sweep`, so
+    the member its raise site names is local to the shard.  Errors that name
+    no member propagate unchanged.
+    """
+    member = getattr(error, "member", None)
+    if member is None or not start:
+        raise error
+    raise _member_error(error.member_text, member + start) from error
+
+
 def _solve_chunk(flat, rhs, describe):
-    """Factor + solve one assembled ``(B, n, n)`` chunk."""
+    """Factor + solve one assembled ``(B, n, n)`` chunk.
+
+    ``describe(index)`` gives the ``{member}`` text and the member of the
+    chunk's ``index``-th matrix (``index=None``: of the whole chunk).
+    """
     try:
         return batched_solve(flat, rhs)
     except SingularMatrixError as error:
         # batched_solve already located the offender; name the ensemble
         # sample and sweep point.
         index = getattr(error, "batch_index", None)
+        text, member = describe(index)
         if index is not None:
-            raise SingularMatrixError(
-                f"{describe(index)} is singular",
-                batch_index=index) from error
-        raise SingularMatrixError(
-            f"{describe()} is numerically singular") from error
+            raise _member_error(f"{text} is singular", member,
+                                batch_index=index) from error
+        raise _member_error(f"{text} is numerically singular",
+                            member) from error
 
 
 def _default_workers() -> int:
@@ -219,9 +249,10 @@ def _dense_ensemble(system, program, s, values, terms, workers=None,
         np.add(constant, stack, out=stack)
         solutions = solve(
             stack,
-            describe=lambda index=None:
-                f"ensemble member {sample}" if index is None else
-                f"ensemble member {sample} at sweep point {start + index}",
+            describe=lambda index: (
+                "ensemble member {member}" if index is None else
+                f"ensemble member {{member}} at sweep point {start + index}",
+                sample),
             indexer=lambda member: (
                 sample,
                 f"ensemble member {sample} at sweep point {start + member}"))
@@ -242,10 +273,11 @@ def _dense_ensemble(system, program, s, values, terms, workers=None,
         flat = stack.reshape(len(block) * num_points, dimension, dimension)
         solutions = solve(
             flat,
-            describe=lambda index=None:
-                f"ensemble chunk starting at sample {start}" if index is None
-                else f"ensemble member {start + index // num_points} at "
-                     f"sweep point {index % num_points}",
+            describe=lambda index: (
+                ("ensemble chunk starting at sample {member}", start)
+                if index is None else
+                (f"ensemble member {{member}} at sweep point "
+                 f"{index % num_points}", start + index // num_points)),
             indexer=lambda member: (
                 start + member // num_points,
                 f"ensemble member {start + member // num_points} at "
@@ -326,9 +358,9 @@ def _sparse_ensemble(engine, program, s, values, terms,
             except SingularMatrixError as error:
                 # Only the pivot search raises, at the first point not yet
                 # served.
-                raise SingularMatrixError(
-                    f"ensemble member {sample} at sweep point {point} "
-                    "is singular") from error
+                raise _member_error(
+                    f"ensemble member {{member}} at sweep point {point} "
+                    "is singular", sample) from error
         else:
             before = len(report.failures)
             for k, solution in engine._resilient_sparse_points(
@@ -576,11 +608,14 @@ def ensemble_sweep(circuit, output, frequencies, space=None, *, values=None,
             histogram_bins=histogram_bins, histogram_range=histogram_range,
             weights=weights, yield_specs=yield_specs)
         for __, start, stop in shard_plan(values.shape[0], shard_size):
-            fold.absorb(ensemble_sweep(
-                circuit, output, frequencies, space,
-                values=values[start:stop], method=method, workers=workers,
-                on_failure=on_failure),
-                start, stop)
+            try:
+                shard = ensemble_sweep(
+                    circuit, output, frequencies, space,
+                    values=values[start:stop], method=method,
+                    workers=workers, on_failure=on_failure)
+            except SingularMatrixError as error:
+                _rebase_member_error(error, start)
+            fold.absorb(shard, start, stop)
         return fold.result(values, space, output)
     _reject_streaming_options(histogram_bins, histogram_range, weights,
                               yield_specs)

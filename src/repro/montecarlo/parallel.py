@@ -69,7 +69,8 @@ from ..engine.resilience import SweepReport
 from ..errors import (FormulationError, ReproError, ShardFailureError,
                       SingularMatrixError)
 from .engine import (EnsembleResult, _EnsembleFold, _ensemble_values,
-                     _reject_streaming_options, ensemble_sweep)
+                     _rebase_member_error, _reject_streaming_options,
+                     ensemble_sweep)
 from .space import ParameterSpace
 from .statistics import EnsembleStatistics
 
@@ -224,14 +225,18 @@ def _solve_shard(job, values, weights, start, stop, threads):
     """Solve one shard: the per-shard call of both executors.
 
     A streaming run's shard folds itself here, in the process that solved
-    it, so only its accumulators travel back.
+    it, so only its accumulators travel back.  A raise-mode error is
+    re-based here too, so a worker forwards the member of the whole run.
     """
-    return ensemble_sweep(
-        job["circuit"], job["output"], job["frequencies"], job["space"],
-        values=values[start:stop], method=job["method"], workers=threads,
-        on_failure=job["on_failure"], shard_size=stop - start,
-        weights=None if weights is None else weights[start:stop],
-        **job["streaming"])
+    try:
+        return ensemble_sweep(
+            job["circuit"], job["output"], job["frequencies"], job["space"],
+            values=values[start:stop], method=job["method"], workers=threads,
+            on_failure=job["on_failure"], shard_size=stop - start,
+            weights=None if weights is None else weights[start:stop],
+            **job["streaming"])
+    except SingularMatrixError as error:
+        _rebase_member_error(error, start)
 
 
 # --------------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "BatchSweepResult",
     "SensitivityScreeningResult",
     "SessionWorkloadResult",
-    "SymbolicKernelResult",
     "MonteCarloEnsembleResult",
     "ParallelEnsembleResult",
     "StreamingEnsembleResult",
@@ -63,7 +62,6 @@ __all__ = [
     "run_batch_sweep",
     "run_sensitivity_screening",
     "run_session_workload",
-    "run_symbolic_kernel",
     "run_montecarlo_ensemble",
     "run_parallel_ensemble",
     "run_streaming_ensemble",
@@ -1348,150 +1346,6 @@ def run_compiled_model(num_samples=256, num_points=200, tolerance=0.05,
         serve_seconds=serve_seconds,
         relative_deviation=deviation,
         session_compiles=session.stats()["compiled"]["compiles"],
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Symbolic kernel — interned minor-memoized expansion vs the legacy path
-# --------------------------------------------------------------------------- #
-
-
-@dataclasses.dataclass
-class SymbolicKernelResult:
-    """µA741-macro symbolic generation + SDG sweep: interned vs legacy kernel.
-
-    ``multisets_identical`` covers the full transfer function *and* every
-    SDG-simplified function of the epsilon sweep;
-    ``max_coefficient_deviation`` is the worst relative deviation of any
-    numerator/denominator coefficient value between the two kernels.
-    """
-
-    circuit_name: str
-    dimension: int
-    numerator_terms: int
-    denominator_terms: int
-    epsilons: Tuple[float, ...]
-    kept_terms: int
-    legacy_seconds: float
-    interned_seconds: float
-    multisets_identical: bool
-    max_coefficient_deviation: float
-    distinct_terms: int
-    expanded_products: int
-    minor_hit_rate: float
-
-    @property
-    def speedup(self) -> float:
-        """Wall-clock ratio legacy / interned."""
-        if self.interned_seconds == 0.0:
-            return float("inf")
-        return self.legacy_seconds / self.interned_seconds
-
-    def describe(self) -> str:
-        """One line for the experiment table."""
-        return (
-            f"{self.circuit_name:>12} (M={self.dimension}, "
-            f"{self.numerator_terms}+{self.denominator_terms} terms, "
-            f"{len(self.epsilons)} eps): "
-            f"legacy {self.legacy_seconds:6.2f} s, "
-            f"interned {self.interned_seconds:6.2f} s, "
-            f"speedup {self.speedup:4.1f}x, "
-            f"multisets {'ok' if self.multisets_identical else 'DIFFER'}, "
-            f"max coeff dev {self.max_coefficient_deviation:.2e}, "
-            f"minor hits {self.minor_hit_rate * 100.0:.0f}%"
-        )
-
-
-def _term_multiset(expression):
-    return sorted((term.symbols, term.s_power) for term in expression.terms)
-
-
-def _coefficient_deviation(legacy_tf, interned_tf) -> float:
-    worst = 0.0
-    for kind in ("numerator", "denominator"):
-        expression = getattr(interned_tf, kind)
-        for power in range(expression.max_s_power() + 1):
-            a = legacy_tf.coefficient_value(kind, power)
-            b = interned_tf.coefficient_value(kind, power)
-            if a.is_zero() and b.is_zero():
-                continue
-            if a.is_zero() or b.is_zero():
-                return float("inf")
-            worst = max(worst, float(abs(a - b) / abs(a)))
-    return worst
-
-
-def run_symbolic_kernel(epsilons=(0.3, 0.1, 0.03, 0.01, 0.001),
-                        max_terms=1_000_000,
-                        reduced=False) -> SymbolicKernelResult:
-    """A/B the symbolic kernels on the µA741-macro generation + SDG workload.
-
-    The workload is the complete symbolic pipeline a designer runs against
-    the numerical reference: generate the exact network function, then sweep
-    SDG over ``epsilons`` for the compression-versus-error trade-off curve
-    (the Eq. 3 error control at each budget).  ``kernel="legacy"`` replays
-    the pre-kernel path end to end — flat cofactor re-expansion and scalar
-    per-term valuation — while the interned arm shares one minor-memoized
-    engine between numerator and denominator and one cached vectorized
-    valuation across the sweep.
-
-    ``reduced=True`` swaps in the Miller OTA (the CI smoke workload: seconds
-    become milliseconds, equivalence is still asserted end to end).
-    """
-    from ..circuits.ua741 import build_ua741_macro
-    from ..symbolic.generation import symbolic_network_function
-
-    epsilons = tuple(epsilons)
-    if not epsilons:
-        raise ValueError("epsilons must be non-empty")
-    if reduced:
-        name, (circuit, spec) = "miller-ota", build_miller_ota()
-    else:
-        name, (circuit, spec) = "ua741-macro", build_ua741_macro()
-    reference = generate_reference(circuit, spec)
-
-    def arm(kernel):
-        start = time.perf_counter()
-        transfer = symbolic_network_function(circuit, spec, kernel=kernel,
-                                             max_terms=max_terms)
-        sweep = [simplification_during_generation(
-            circuit, spec, reference, epsilon=epsilon,
-            transfer_function=transfer, kernel=kernel)
-            for epsilon in epsilons]
-        return transfer, sweep, time.perf_counter() - start
-
-    legacy_tf, legacy_sweep, legacy_seconds = arm("legacy")
-    interned_tf, interned_sweep, interned_seconds = arm("interned")
-
-    identical = (
-        _term_multiset(legacy_tf.numerator)
-        == _term_multiset(interned_tf.numerator)
-        and _term_multiset(legacy_tf.denominator)
-        == _term_multiset(interned_tf.denominator)
-        and all(
-            _term_multiset(a.simplified.numerator)
-            == _term_multiset(b.simplified.numerator)
-            and _term_multiset(a.simplified.denominator)
-            == _term_multiset(b.simplified.denominator)
-            for a, b in zip(legacy_sweep, interned_sweep)
-        )
-    )
-    stats = interned_tf.kernel_stats
-    return SymbolicKernelResult(
-        circuit_name=name,
-        dimension=system_dimension(circuit),
-        numerator_terms=len(interned_tf.numerator),
-        denominator_terms=len(interned_tf.denominator),
-        epsilons=epsilons,
-        kept_terms=interned_sweep[len(epsilons) // 2].total_terms()[0],
-        legacy_seconds=legacy_seconds,
-        interned_seconds=interned_seconds,
-        multisets_identical=identical,
-        max_coefficient_deviation=_coefficient_deviation(legacy_tf,
-                                                         interned_tf),
-        distinct_terms=stats.distinct_terms,
-        expanded_products=stats.expanded_products,
-        minor_hit_rate=stats.hit_rate,
     )
 
 

@@ -3,21 +3,11 @@
 The determinant of the symbolic nodal matrix is expanded recursively along the
 structurally sparsest column of the remaining submatrix (a standard trick that
 keeps the intermediate term count close to the final one for circuit
-matrices).  The result is a flat sum-of-products
+matrices).  The expansion runs on
+:class:`~repro.symbolic.kernel.DeterminantEngine`: monomials are hash-consed
+integers, every structural minor ``expand(active_rows, active_cols)`` is
+memoized and combined once, and the result is a combined sum-of-products
 :class:`~repro.symbolic.terms.SymbolicExpression`.
-
-Two kernels implement the expansion:
-
-* ``kernel="interned"`` (the default) runs on
-  :class:`~repro.symbolic.kernel.DeterminantEngine`: monomials are hash-consed
-  integer tuples, every structural minor ``expand(active_rows, active_cols)``
-  is memoized and combined once, and the ``max_terms`` budget is charged on
-  *distinct* work — a minor reused from the memo costs nothing, so circuits
-  whose cofactor tree repeats minors fit budgets their flat expansion would
-  blow.
-* ``kernel="legacy"`` is the original per-cofactor re-expansion, kept for A/B
-  benchmarking (and for ``combine=False``, whose uncombined flat output only
-  the legacy path produces).
 
 The expansion is exact and therefore exponential in the worst case; the
 ``max_terms`` guard raises :class:`~repro.errors.SymbolicError` before memory
@@ -27,21 +17,14 @@ is exhausted, directing users of larger circuits towards SBG reduction first
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from ..errors import SymbolicError
-from .kernel import DEFAULT_MAX_TERMS
-from .terms import SymbolicExpression, Term
+from .kernel import DEFAULT_MAX_TERMS, DeterminantEngine
+from .terms import SymbolicExpression
 
 __all__ = ["symbolic_determinant", "DEFAULT_MAX_TERMS"]
 
-#: The default ``max_terms`` (one source: :data:`repro.symbolic.kernel.DEFAULT_MAX_TERMS`)
-#: is charged on distinct (memoized) work by the interned kernel and on flat
-#: expanded terms by the legacy kernel.
 
-
-def symbolic_determinant(entries, size, max_terms=DEFAULT_MAX_TERMS,
-                         combine=True, kernel="interned") -> SymbolicExpression:
+def symbolic_determinant(entries, size,
+                         max_terms=DEFAULT_MAX_TERMS) -> SymbolicExpression:
     """Determinant of a ``size``×``size`` symbolic matrix.
 
     Parameters
@@ -52,84 +35,12 @@ def symbolic_determinant(entries, size, max_terms=DEFAULT_MAX_TERMS,
     size:
         Matrix dimension.
     max_terms:
-        Upper bound on the number of terms produced (raises above it).  With
-        the interned kernel the bound applies to *distinct* terms retained
-        across memoized minors; the overflow error reports both the distinct
-        and the expanded counts.
-    combine:
-        Combine like terms in the final expression (recommended — determinant
-        terms of nodal matrices frequently cancel pairwise).  The interned
-        kernel combines inherently; ``combine=False`` therefore always runs
-        the legacy expansion.
-    kernel:
-        ``"interned"`` (minor-memoized engine, default) or ``"legacy"``.
+        Upper bound on the *distinct* terms retained across memoized minors
+        (raises above it): a minor reused from the memo costs nothing.  The
+        overflow error reports both the distinct and the expanded counts.
     """
-    if kernel not in ("interned", "legacy"):
-        raise SymbolicError(f"unknown symbolic kernel {kernel!r}")
     if size == 0:
         return SymbolicExpression.one()
-    if kernel == "interned" and combine:
-        from .kernel import DeterminantEngine
-
-        engine = DeterminantEngine.from_entries(entries, size,
-                                                max_terms=max_terms)
-        indices = tuple(range(size))
-        return engine.to_expression(engine.determinant_terms(indices, indices))
-    expression = SymbolicExpression(
-        _legacy_expand_determinant(entries, size, max_terms))
-    if combine:
-        expression = expression.combined()
-    return expression
-
-
-def _legacy_expand_determinant(entries, size, max_terms) -> List[Term]:
-    """The pre-kernel flat cofactor expansion (every subtree re-expanded)."""
-    # Row-wise structural view for fast column counting.
-    rows_of_column: List[List[int]] = [[] for __ in range(size)]
-    for (row, col), expression in entries.items():
-        if expression.terms:
-            rows_of_column[col].append(row)
-
-    term_budget = [max_terms]
-
-    def expand(active_rows: Tuple[int, ...], active_cols: Tuple[int, ...]) -> List[Term]:
-        if not active_rows:
-            return [Term(symbols=(), s_power=0, coefficient=1.0)]
-        # Pick the active column with the fewest entries in the active rows.
-        best_col = None
-        best_rows: List[int] = []
-        for col_position, col in enumerate(active_cols):
-            rows_here = [row for row in rows_of_column[col] if row in active_rows]
-            if best_col is None or len(rows_here) < len(best_rows):
-                best_col = col
-                best_rows = rows_here
-                if len(rows_here) <= 1:
-                    break
-        if best_col is None or not best_rows:
-            return []  # structurally singular in this branch
-        col_position = active_cols.index(best_col)
-        remaining_cols = tuple(c for c in active_cols if c != best_col)
-
-        result: List[Term] = []
-        for row in best_rows:
-            row_position = active_rows.index(row)
-            sign = -1.0 if (row_position + col_position) % 2 else 1.0
-            entry = entries[(row, best_col)]
-            remaining_rows = tuple(r for r in active_rows if r != row)
-            minor_terms = expand(remaining_rows, remaining_cols)
-            if not minor_terms:
-                continue
-            for entry_term in entry.terms:
-                scaled_entry = Term(entry_term.symbols, entry_term.s_power,
-                                    entry_term.coefficient * sign)
-                for minor_term in minor_terms:
-                    result.append(minor_term.multiply(scaled_entry))
-                    if len(result) > term_budget[0]:
-                        raise SymbolicError(
-                            "symbolic determinant exceeded the term budget "
-                            f"({max_terms} expanded terms, legacy kernel); "
-                            "reduce the circuit (SBG) first"
-                        )
-        return result
-
-    return expand(tuple(range(size)), tuple(range(size)))
+    engine = DeterminantEngine.from_entries(entries, size, max_terms=max_terms)
+    indices = tuple(range(size))
+    return engine.to_expression(engine.determinant_terms(indices, indices))

@@ -5,11 +5,10 @@ the symbolic nodal matrix by the excitation column yields a determinant whose
 expansion is ``N(s, x)``; the plain determinant is ``D(s, x)``.  Differential
 outputs are the difference of two column-replaced determinants.
 
-With the default ``kernel="interned"`` both expansions run on one
-:class:`~repro.symbolic.kernel.DeterminantEngine`: the Cramer numerator
-differs from the denominator in a single column, so nearly every numerator
-minor is answered by the memo the denominator expansion already filled (the
-per-phase hit/miss accounting lands in
+Both expansions run on one :class:`~repro.symbolic.kernel.DeterminantEngine`:
+the Cramer numerator differs from the denominator in a single column, so
+nearly every numerator minor is answered by the memo the denominator
+expansion already filled (the per-phase hit/miss accounting lands in
 :attr:`SymbolicTransferFunction.kernel_stats`).
 
 :func:`simplify_after_generation` then prunes each coefficient's terms against
@@ -27,9 +26,8 @@ from ..errors import SingularEvaluationError, SymbolicError
 from ..netlist.transform import to_admittance_form
 from ..nodal.reduce import TransferSpec
 from ..xfloat import XFloat
-from .determinant import DEFAULT_MAX_TERMS, symbolic_determinant
-from .kernel import EngineStats, TermValuation
-from .matrix import SymbolicNodal, build_symbolic_nodal
+from .kernel import DEFAULT_MAX_TERMS, EngineStats, TermValuation
+from .matrix import build_symbolic_nodal
 from .terms import SymbolicExpression, Term, evaluate_polynomial
 
 __all__ = [
@@ -55,8 +53,8 @@ class SymbolicTransferFunction:
     denominator: SymbolicExpression
     table: Dict[str, object]
     spec: TransferSpec
-    #: Minor-memo accounting of the generating engine (None for the legacy
-    #: kernel and for simplified functions derived from another transfer).
+    #: Minor-memo accounting of the generating engine (None for simplified
+    #: functions derived from another transfer).
     kernel_stats: Optional[EngineStats] = None
     _valuations: Dict[Tuple[str, int], TermValuation] = dataclasses.field(
         default_factory=dict, repr=False, compare=False)
@@ -134,19 +132,6 @@ class SymbolicTransferFunction:
                 f"{d_terms} denominator terms")
 
 
-def _replace_column(nodal: SymbolicNodal, column: int) -> Dict[Tuple[int, int], SymbolicExpression]:
-    """Matrix entries with ``column`` replaced by the excitation vector."""
-    entries: Dict[Tuple[int, int], SymbolicExpression] = {}
-    for (row, col), expression in nodal.entries.items():
-        if col == column:
-            continue
-        entries[(row, col)] = expression
-    for row, expression in nodal.rhs.items():
-        if expression.terms:
-            entries[(row, column)] = expression
-    return entries
-
-
 def _cramer_terms(engine, excitation, size, column):
     """Internal terms (and parity sign) of the column-replaced determinant.
 
@@ -161,31 +146,9 @@ def _cramer_terms(engine, excitation, size, column):
     return terms, sign
 
 
-def _transfer_from_nodal(nodal, spec, max_terms=DEFAULT_MAX_TERMS,
-                         kernel="interned", engine=None,
+def _transfer_from_nodal(nodal, spec, max_terms=DEFAULT_MAX_TERMS, engine=None,
                          excitation=None) -> SymbolicTransferFunction:
     """Generate the transfer function from a built symbolic nodal matrix."""
-    if kernel == "legacy":
-        denominator = symbolic_determinant(nodal.entries, nodal.dimension,
-                                           max_terms, kernel="legacy")
-
-        def column_determinant(node):
-            column = nodal.index_of(node)
-            replaced = _replace_column(nodal, column)
-            return symbolic_determinant(replaced, nodal.dimension, max_terms,
-                                        kernel="legacy")
-
-        numerator = column_determinant(nodal.output_pos)
-        if nodal.output_neg is not None and nodal.output_neg != "0":
-            numerator = numerator.subtract(column_determinant(nodal.output_neg))
-            numerator = numerator.combined()
-        return SymbolicTransferFunction(
-            numerator=numerator,
-            denominator=denominator,
-            table=nodal.table,
-            spec=spec,
-        )
-
     if engine is None:
         engine, excitation = nodal.determinant_engine(max_terms=max_terms)
     size = nodal.dimension
@@ -225,20 +188,19 @@ def _transfer_from_nodal(nodal, spec, max_terms=DEFAULT_MAX_TERMS,
 
 
 def symbolic_network_function(circuit, spec, max_terms=DEFAULT_MAX_TERMS,
-                              admittance_transform=True, kernel="interned",
+                              admittance_transform=True,
                               session=None) -> SymbolicTransferFunction:
     """Generate the complete symbolic network function of a circuit.
 
     The output nodes named by ``spec`` must be unknown nodes (not forced, not
     ground) — the usual case for amplifier outputs.
 
+    Numerator and denominator share one minor-memoized engine, and
+    ``max_terms`` bounds the distinct terms retained across its memoized
+    minors.
+
     Parameters
     ----------
-    kernel:
-        ``"interned"`` (minor-memoized engine shared between numerator and
-        denominator, the default) or ``"legacy"`` (per-cofactor
-        re-expansion, kept for A/B benchmarking).  Both produce the same term
-        multisets.
     session:
         Optional :class:`~repro.engine.session.AnalysisSession`: the symbolic
         nodal matrix, the determinant engine (with its minor memo) and the
@@ -251,49 +213,18 @@ def symbolic_network_function(circuit, spec, max_terms=DEFAULT_MAX_TERMS,
         When the expansion exceeds ``max_terms`` or the output is not an
         unknown node.
     """
-    if kernel not in ("interned", "legacy"):
-        raise SymbolicError(f"unknown symbolic kernel {kernel!r}")
     if session is not None:
         return session.symbolic_transfer(
-            circuit, spec, max_terms=max_terms, kernel=kernel,
+            circuit, spec, max_terms=max_terms,
             admittance_transform=admittance_transform)
     if admittance_transform:
         circuit = to_admittance_form(circuit)
     nodal = build_symbolic_nodal(circuit, spec)
-    return _transfer_from_nodal(nodal, spec, max_terms=max_terms, kernel=kernel)
-
-
-def _select_significant_terms_scalar(terms, table, reference_value,
-                                     epsilon) -> Tuple[List[Term], int]:
-    """The pre-kernel selection: per-term ``Term.value`` calls and an XFloat
-    sort.  Kept as the ``kernel="legacy"`` arm of the SDG A/B benchmark.
-    Exact-magnitude ties use the same deterministic ``(s_power, symbols)``
-    key as the vectorized path (tie policy is not a performance property),
-    so both arms keep identical term sets."""
-    valued = [(term, term.value(table)) for term in terms]
-    valued.sort(key=lambda item: (
-        (-item[1].log10() if not item[1].is_zero() else float("inf")),
-        item[0].s_power, item[0].symbols))
-    if isinstance(reference_value, (int, float)):
-        reference_value = XFloat(float(reference_value), 0)
-    target = abs(reference_value)
-    if target.is_zero():
-        return [], len(valued)
-
-    kept: List[Term] = []
-    accumulated = XFloat.zero()
-    for term, value in valued:
-        error = abs(reference_value - accumulated)
-        if error < target * epsilon:
-            break
-        kept.append(term)
-        accumulated = accumulated + value
-    return kept, len(valued)
+    return _transfer_from_nodal(nodal, spec, max_terms=max_terms)
 
 
 def select_significant_terms(terms, table, reference_value, epsilon,
-                             valuation=None,
-                             method="vectorized") -> Tuple[List[Term], int]:
+                             valuation=None) -> Tuple[List[Term], int]:
     """Keep the largest terms of one coefficient until Eq. (3) is satisfied.
 
     Terms are accumulated in decreasing order of design-point magnitude until
@@ -303,8 +234,7 @@ def select_significant_terms(terms, table, reference_value, epsilon,
     :class:`~repro.symbolic.kernel.TermValuation` pass (pass ``valuation`` to
     reuse a cached one); exact magnitude ties order deterministically on
     ``(s_power, symbols)``, so the selection is independent of the
-    term-generation order.  ``method="scalar"`` runs the pre-kernel per-term
-    loop instead (the legacy benchmark arm).
+    term-generation order.
 
     Returns
     -------
@@ -312,11 +242,6 @@ def select_significant_terms(terms, table, reference_value, epsilon,
     """
     if epsilon < 0.0:
         raise SymbolicError("epsilon must be non-negative")
-    if method not in ("vectorized", "scalar"):
-        raise SymbolicError(f"unknown selection method {method!r}")
-    if method == "scalar":
-        return _select_significant_terms_scalar(terms, table, reference_value,
-                                                epsilon)
     if valuation is None:
         valuation = TermValuation(terms, table)
     elif valuation.terms is not terms and valuation.terms != list(terms):

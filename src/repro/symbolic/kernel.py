@@ -14,14 +14,15 @@ key instead of a string tuple.  Decoding back to name tuples happens once per
 distinct final monomial, through a cache.
 
 **Minor-memoized determinants.**  :class:`DeterminantEngine` expands
-determinants recursively along the structurally sparsest column, exactly like
-the legacy expansion, but memoizes ``expand(active_rows, active_cols)`` per
-*structural minor* and combines like terms per minor.  The cofactor tree of a
+determinants recursively along the structurally sparsest column (the pivoting
+rule of a flat cofactor expansion), but memoizes
+``expand(active_rows, active_cols)`` per *structural minor* and combines like
+terms per minor.  The cofactor tree of a
 circuit matrix revisits the same minors constantly, and the Cramer numerator
 differs from the denominator in a single column — so nearly every numerator
 minor is a cache hit against the denominator expansion.  The ``max_terms``
 budget is charged on *distinct* work (terms retained across memoized minors),
-not on the flat legacy term count, and the overflow error reports both.
+not on the flat expansion's term count, and the overflow error reports both.
 
 **Vectorized term valuation.**  :class:`TermValuation` groups terms by degree
 into dense terms×factors incidences of factor logs folded column by column —
@@ -29,13 +30,13 @@ one vector pass per degree produces every term's design-point ``log10``
 magnitude and sign.  The fold is deliberately a manual left-to-right column
 loop, NOT ``np.add.reduceat``/``np.sum`` (those use pairwise summation): only
 the scalar accumulation order reproduces :meth:`Term.value` bit for bit,
-which the SDG A/B equivalence assertions depend on.
+which the parity tests against the scalar selection depend on.
 :func:`select_significant_terms`, the SDG ``achieved_error`` accounting and
 :meth:`SymbolicExpression.coefficient_value` all run on it.
 
-The public results (term multisets, coefficient values) match the legacy
-expansion — the legacy path stays reachable through ``kernel="legacy"`` for
-A/B benchmarking.
+The public results (term multisets, coefficient values) match a flat cofactor
+expansion with per-term scalar valuation; the test suite keeps that expansion
+as its oracle.
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ class DeterminantEngine:
             return _UNIT
 
         # Pick the active column with the fewest entries in the active rows
-        # (the same pivoting rule as the legacy expansion).
+        # (the pivoting rule of the flat cofactor expansion).
         rows_set = set(rows)
         columns = self._columns
         best_position = None
@@ -596,13 +597,13 @@ class TermValuation:
 
         Ties (exactly equal log magnitudes, e.g. symmetric element values)
         break deterministically on ``(s_power, symbols)`` so the selection is
-        independent of the term-generation order — legacy and interned
-        expansions produce identical kept-term sets.  (The scalar benchmark
-        arm keys on the XFloat mantissa's roundtripped ``log10`` instead of
-        the raw folded sum; magnitudes ~1 ulp apart could in principle order
-        differently there, but both orderings are deterministic for fixed
-        inputs, so the A/B workloads either always agree — as asserted — or
-        fail loudly, never flake.)
+        independent of the term-generation order — a flat and a memoized
+        expansion of the same determinant give identical kept-term sets.
+        (The scalar selection the tests use as their oracle keys on the
+        XFloat mantissa's roundtripped ``log10`` instead of the raw folded
+        sum; magnitudes ~1 ulp apart could in principle order differently
+        there, but both orderings are deterministic for fixed inputs, so a
+        parity check either always agrees or fails loudly, never flakes.)
         """
         if self._order is None:
             logs = self.logs
@@ -634,8 +635,8 @@ class TermValuation:
     def total(self) -> XFloat:
         """Sum of every term value, accumulated in term order.
 
-        The accumulation order matches the legacy per-term loop, so totals
-        are bit-identical to summing ``Term.value`` results sequentially.
+        The accumulation order matches a per-term loop, so totals are
+        bit-identical to summing ``Term.value`` results sequentially.
         """
         if self._total is None:
             total = XFloat.zero()

@@ -14,7 +14,6 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SymbolicError
-from ..netlist.circuit import Circuit
 from ..netlist.elements import (
     Capacitor,
     Conductor,
@@ -25,7 +24,6 @@ from ..netlist.elements import (
     VoltageSource,
 )
 from ..nodal.admittance import build_nodal_formulation
-from ..nodal.reduce import TransferSpec
 from .symbols import build_symbol_table
 from .terms import SymbolicExpression, Term
 

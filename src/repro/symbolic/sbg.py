@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from ..analysis.sensitivity import element_sensitivities
 from ..errors import (FormulationError, SimplificationError,
                       SingularMatrixError)
 from ..netlist.circuit import Circuit
-from ..netlist.elements import Capacitor, Conductor, Resistor, VCCS
 
 __all__ = ["SBGResult", "simplification_before_generation"]
 
@@ -72,15 +71,15 @@ class SBGResult:
             f"{self.final_error:.3g})"
         )
 
-    def generate_symbolic(self, spec, max_terms=None, kernel="interned",
-                          session=None):
+    def generate_symbolic(self, spec, max_terms=None, session=None):
         """Symbolic network function of the *reduced* circuit.
 
         This is the second half of the paper's SBG workflow: reduce first,
         then generate — the reduced circuit's determinant fits term budgets
-        the full circuit would blow.  Runs on the interned minor-memoized
-        kernel by default; pass ``session`` to cache the result (and its
-        determinant engine) under the reduced circuit's fingerprint.
+        the full circuit would blow.  Runs on the minor-memoized kernel, so
+        ``max_terms`` bounds distinct terms; pass ``session`` to cache the
+        result (and its determinant engine) under the reduced circuit's
+        fingerprint.
         """
         from .determinant import DEFAULT_MAX_TERMS
         from .generation import symbolic_network_function
@@ -88,7 +87,7 @@ class SBGResult:
         if max_terms is None:
             max_terms = DEFAULT_MAX_TERMS
         return symbolic_network_function(self.reduced, spec,
-                                         max_terms=max_terms, kernel=kernel,
+                                         max_terms=max_terms,
                                          session=session)
 
 

@@ -20,7 +20,7 @@ which is what this paper contributes to, is identical.)
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import SimplificationError
 from ..xfloat import XFloat
@@ -81,22 +81,12 @@ class SDGResult:
                 f"({100.0 * self.compression():.1f}% discarded)")
 
 
-def _coefficient_error(kept_terms, table, reference_value,
-                       method="vectorized", valuation=None) -> float:
-    if method == "scalar":
-        total = XFloat.zero()
-        for term in kept_terms:
-            total = total + term.value(table)
-    elif valuation is not None:
-        # The kept terms are exactly the selection-order prefix, so their
-        # values are already cached on the coefficient's valuation.
-        total = XFloat.zero()
-        for index in valuation.order()[:len(kept_terms)]:
-            total = total + valuation.value(index)
-    else:
-        from .kernel import sum_term_values
-
-        total = sum_term_values(kept_terms, table)
+def _coefficient_error(kept_terms, valuation, reference_value) -> float:
+    # The kept terms are exactly the selection-order prefix, so their values
+    # are already cached on the coefficient's valuation.
+    total = XFloat.zero()
+    for index in valuation.order()[:len(kept_terms)]:
+        total = total + valuation.value(index)
     if reference_value.is_zero():
         return 0.0 if total.is_zero() else float("inf")
     return float(abs(reference_value - total) / abs(reference_value))
@@ -105,7 +95,6 @@ def _coefficient_error(kept_terms, table, reference_value,
 def simplification_during_generation(circuit, spec, reference, epsilon=0.01,
                                      max_terms=None,
                                      transfer_function=None,
-                                     kernel="interned",
                                      session=None) -> SDGResult:
     """Run SDG for a circuit against a previously generated numerical reference.
 
@@ -120,13 +109,9 @@ def simplification_during_generation(circuit, spec, reference, epsilon=0.01,
         Relative error budget ``ε_k`` applied to every coefficient.
     transfer_function:
         Optionally reuse an already generated
-        :class:`~repro.symbolic.generation.SymbolicTransferFunction`.
-    kernel:
-        ``"interned"`` (default) runs the minor-memoized expansion and the
-        vectorized term valuation; ``"legacy"`` reproduces the complete
-        pre-kernel path — flat cofactor expansion (skipped when
-        ``transfer_function`` is given) *and* scalar per-term valuation — as
-        the benchmark's A/B arm.
+        :class:`~repro.symbolic.generation.SymbolicTransferFunction`;
+        otherwise one is generated on the minor-memoized kernel, with
+        ``max_terms`` bounding its distinct terms.
     session:
         Optional :class:`~repro.engine.session.AnalysisSession` — the
         generated transfer function (and its determinant engine) is then
@@ -144,30 +129,22 @@ def simplification_during_generation(circuit, spec, reference, epsilon=0.01,
         max_terms = DEFAULT_MAX_TERMS
     if transfer_function is None:
         transfer_function = symbolic_network_function(
-            circuit, spec, max_terms=max_terms, kernel=kernel, session=session)
+            circuit, spec, max_terms=max_terms, session=session)
 
-    method = "scalar" if kernel == "legacy" else "vectorized"
     reports: List[SDGCoefficientReport] = []
     simplified_expressions: Dict[str, SymbolicExpression] = {}
     for kind, expression in (("numerator", transfer_function.numerator),
                              ("denominator", transfer_function.denominator)):
         kept_all = []
         for power in range(expression.max_s_power() + 1):
-            if method == "scalar":
-                valuation = None
-                terms = expression.coefficient_terms(power)
-            else:
-                valuation = transfer_function.coefficient_valuation(kind, power)
-                terms = valuation.terms
-            if not terms:
+            valuation = transfer_function.coefficient_valuation(kind, power)
+            if not len(valuation):
                 continue
             reference_value = reference.coefficient(kind, power)
             kept, total = select_significant_terms(
-                terms, transfer_function.table, reference_value, epsilon,
-                valuation=valuation, method=method)
-            achieved = _coefficient_error(kept, transfer_function.table,
-                                          reference_value, method=method,
-                                          valuation=valuation)
+                valuation.terms, transfer_function.table, reference_value,
+                epsilon, valuation=valuation)
+            achieved = _coefficient_error(kept, valuation, reference_value)
             reports.append(SDGCoefficientReport(
                 kind=kind,
                 power=power,

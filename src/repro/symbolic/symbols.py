@@ -16,7 +16,6 @@ import dataclasses
 from typing import Dict
 
 from ..errors import SymbolicError
-from ..netlist.circuit import Circuit
 from ..netlist.elements import Capacitor, Conductor, CurrentSource, Resistor, VCCS, VoltageSource
 
 __all__ = ["CircuitSymbol", "build_symbol_table"]

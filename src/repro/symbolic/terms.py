@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import SymbolicError
 from ..xfloat import XFloat

@@ -18,7 +18,6 @@ from repro.reporting.experiments import (
     BatchSweepResult,
     MonteCarloEnsembleResult,
     SensitivityScreeningResult,
-    run_symbolic_kernel,
     ua741_tolerance_space,
 )
 
@@ -171,10 +170,6 @@ class TestEnsembleMethodValidation:
 
 
 class TestExperimentErrorPaths:
-    def test_symbolic_kernel_rejects_empty_epsilons(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            run_symbolic_kernel(epsilons=())
-
     def test_zero_time_speedups_are_infinite(self):
         batch = BatchSweepResult(
             circuit_name="x", dimension=3, num_points=2,

@@ -54,14 +54,12 @@ class TestInverseDFT:
     def test_fft_matches_direct(self):
         rng = np.random.default_rng(0)
         samples = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_allclose(inverse_dft(samples, method="fft"),
+        np.testing.assert_allclose(inverse_dft(samples),
                                    inverse_dft_direct(samples), atol=1e-10)
 
     def test_invalid_inputs(self):
         with pytest.raises(InterpolationError):
             inverse_dft([])
-        with pytest.raises(InterpolationError):
-            inverse_dft([1.0], method="nope")
 
     def test_scaled_variant_tracks_common_exponent(self):
         coefficients = [2.0, 4.0]

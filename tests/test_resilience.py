@@ -43,7 +43,8 @@ from repro.linalg.dense import batched_solve
 from repro.linalg.sparse import SparseMatrix
 from repro.mna.builder import build_mna_system
 from repro.montecarlo import (ParameterSpace, Tolerance, checkpoint_info,
-                              checkpointed_ensemble_sweep, ensemble_sweep)
+                              checkpointed_ensemble_sweep, ensemble_sweep,
+                              parallel_ensemble_sweep)
 from repro.netlist.circuit import Circuit
 from repro.nodal.reduce import TransferSpec
 from repro.reporting import format_sweep_report
@@ -68,6 +69,17 @@ def ua741():
 def ladder():
     circuit, spec = build_rc_ladder(4)
     return circuit, spec, _toleranced(circuit, fraction=0.1)
+
+
+def build_floating_load():
+    """1 A into ``n1`` through ``Gload`` (±50 %) and ``C1``: a ``Gload`` of 0
+    leaves ``n1`` on ``C1`` alone, singular at 0 Hz."""
+    circuit = Circuit("floating")
+    circuit.add_current_source("iin", "0", "n1", 1.0)
+    circuit.add_conductor("Gload", "n1", "0", 1e-3)
+    circuit.add_capacitor("C1", "n1", "0", 1e-9)
+    circuit.replace(circuit["Gload"].with_tolerance(0.5))
+    return circuit
 
 
 def build_floating_at_dc():
@@ -399,16 +411,31 @@ class TestEnsembleQuarantine:
     def test_raise_mode_names_member(self, method):
         # A conductance of 0 leaves n1 on C1 alone: member 2 is singular at
         # 0 Hz, the second point.  Both paths name the member and the point.
-        circuit = Circuit("floating")
-        circuit.add_current_source("iin", "0", "n1", 1.0)
-        circuit.add_conductor("Gload", "n1", "0", 1e-3)
-        circuit.add_capacitor("C1", "n1", "0", 1e-9)
-        circuit.replace(circuit["Gload"].with_tolerance(0.5))
+        circuit = build_floating_load()
         with pytest.raises(SingularMatrixError,
                            match="ensemble member 2 at sweep point 1"):
             ensemble_sweep(circuit, "n1", [1e3, 0.0, 1e5],
                            ParameterSpace(circuit),
                            values=[[1e-3], [2e-3], [0.0]], method=method)
+
+    @pytest.mark.parametrize("mode", ["streaming", "workers=1", "workers=2"])
+    @pytest.mark.parametrize("method", ["dense", "sparse"])
+    def test_sharded_raise_mode_names_run_member(self, method, mode):
+        # Shards of two: the singular member 3 is the second member of the
+        # second shard, and every sharded run names it by its place in the
+        # whole run.
+        circuit = build_floating_load()
+        arguments = (circuit, "n1", [1e3, 0.0], ParameterSpace(circuit))
+        values = [[1e-3], [2e-3], [1e-3], [0.0]]
+        with pytest.raises(SingularMatrixError,
+                           match="ensemble member 3 at sweep point 1"):
+            if mode == "streaming":
+                ensemble_sweep(*arguments, values=values, method=method,
+                               store_responses=False, shard_size=2)
+            else:
+                parallel_ensemble_sweep(
+                    *arguments, values=values, method=method, shard_size=2,
+                    workers=int(mode[-1]), on_failure="raise")
 
 
 class TestTransientFaults:

@@ -1,13 +1,14 @@
-"""Tests for the interned symbolic kernel (PR 4).
+"""Tests for the interned symbolic kernel.
 
 Covers the four kernel pillars:
 
 * packed-monomial interning and the Term merge fast path,
-* the minor-memoized determinant engine (legacy parity, numerical
-  correctness against ``repro.linalg`` on every library circuit, cache-hit
-  and numerator/denominator-sharing accounting, distinct-work budgets),
+* the minor-memoized determinant engine (parity with the flat expansion of
+  :mod:`symbolic_oracle`, numerical correctness against ``repro.linalg`` on
+  every library circuit, cache-hit and numerator/denominator-sharing
+  accounting, distinct-work budgets),
 * vectorized term valuation (bit-parity with ``Term.value``, deterministic
-  tie ordering),
+  tie ordering, parity with the oracle's scalar selection),
 * the AnalysisSession symbolic caches.
 """
 
@@ -16,6 +17,8 @@ import zlib
 
 import numpy as np
 import pytest
+
+from symbolic_oracle import flat_determinant, flat_network_function, scalar_select
 
 from repro.circuits import (
     build_cascode_amplifier,
@@ -123,7 +126,7 @@ class TestTermFastPaths:
 
 
 class TestDeterminantParity:
-    """Interned and legacy kernels produce the same expressions."""
+    """The interned kernel and the flat oracle produce the same expressions."""
 
     def test_random_matrices_match_legacy(self):
         rng = np.random.default_rng(42)
@@ -140,40 +143,32 @@ class TestDeterminantParity:
                             for k in range(rng.integers(1, 3))
                         ]
                         entries[(row, col)] = SymbolicExpression(terms)
-            legacy = symbolic_determinant(entries, size, kernel="legacy")
-            interned = symbolic_determinant(entries, size, kernel="interned")
-            assert _multiset(legacy) == _multiset(interned)
+            flat = flat_determinant(entries, size)
+            interned = symbolic_determinant(entries, size)
+            assert _multiset(flat) == _multiset(interned)
 
     @pytest.mark.parametrize("name,builder", LIBRARY_CIRCUITS)
     def test_network_functions_match_legacy(self, name, builder):
         circuit, spec = builder()
         if name == "ua741-macro":
-            pytest.skip("covered by benchmarks/bench_sdg.py (seconds-long)")
+            pytest.skip("the flat expansion is seconds-long")
         if name == "positive-feedback-ota":
-            pytest.skip("full expansion infeasible on either kernel; "
+            pytest.skip("full expansion infeasible on either path; "
                         "covered by the principal-minor cross-check")
-        legacy = symbolic_network_function(circuit, spec, kernel="legacy",
-                                           max_terms=2_000_000)
-        interned = symbolic_network_function(circuit, spec, kernel="interned",
+        flat = flat_network_function(circuit, spec, max_terms=2_000_000)
+        interned = symbolic_network_function(circuit, spec,
                                              max_terms=2_000_000)
-        assert _structure(legacy.numerator) == _structure(interned.numerator)
-        assert _structure(legacy.denominator) == _structure(interned.denominator)
+        assert _structure(flat.numerator) == _structure(interned.numerator)
+        assert _structure(flat.denominator) == _structure(interned.denominator)
         for kind in ("numerator", "denominator"):
             expression = getattr(interned, kind)
             for power in range(expression.max_s_power() + 1):
-                a = legacy.coefficient_value(kind, power)
+                a = flat.coefficient_value(kind, power)
                 b = interned.coefficient_value(kind, power)
                 if a.is_zero() and b.is_zero():
                     continue
                 assert not (a.is_zero() or b.is_zero())
                 assert float(abs(a - b) / abs(a)) <= 1e-9
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(SymbolicError):
-            symbolic_determinant({}, 1, kernel="quantum")
-        circuit, spec = build_miller_ota()
-        with pytest.raises(SymbolicError):
-            symbolic_network_function(circuit, spec, kernel="quantum")
 
 
 class TestNumericCrossCheck:
@@ -237,8 +232,8 @@ class TestEngineAccounting:
         assert hits > 0
         # The memoized engine forms far fewer products than the flat
         # expansion materializes terms.
-        legacy = symbolic_network_function(circuit, spec, kernel="legacy")
-        assert _structure(legacy.denominator) == _structure(transfer.denominator)
+        flat = flat_network_function(circuit, spec)
+        assert _structure(flat.denominator) == _structure(transfer.denominator)
 
     def test_engine_shared_between_determinant_calls(self):
         circuit, spec = build_miller_ota()
@@ -292,7 +287,7 @@ class TestEngineAccounting:
             (1, 0): SymbolicExpression([Term(("a",), 0)]),
             (1, 1): SymbolicExpression([Term(("a",), 0)]),
         }
-        flat = symbolic_determinant(entries, 2, combine=False)
+        flat = flat_determinant(entries, 2, combine=False)
         assert len(flat) == 2  # a·a - a·a, uncombined
         combined = symbolic_determinant(entries, 2)
         assert combined.is_zero()
@@ -356,8 +351,8 @@ class TestVectorizedValuation:
         valuation = TermValuation(terms, table)
         kept, total = select_significant_terms(terms, table, reference, 0.05,
                                                valuation=valuation)
-        scalar_kept, scalar_total = select_significant_terms(
-            terms, table, reference, 0.05, method="scalar")
+        scalar_kept, scalar_total = scalar_select(terms, table, reference,
+                                                  0.05)
         assert total == scalar_total == 6
         assert [t.symbols for t in kept] == [t.symbols for t in scalar_kept]
 
