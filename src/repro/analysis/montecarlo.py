@@ -14,10 +14,6 @@ designer asks of a tolerance run —
   vectorized engine (:func:`corner_analysis`),
 * **yield** — the fraction of samples meeting gain / phase-margin
   specifications (:func:`yield_analysis`, :class:`YieldSpec`).
-
-Results are cacheable in an :class:`~repro.engine.session.AnalysisSession`
-under ``(circuit fingerprint, space, seed, grid, method)`` — see
-:meth:`repro.engine.session.AnalysisSession.montecarlo`.
 """
 
 from __future__ import annotations
@@ -279,19 +275,14 @@ def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
         keeping the ``on_failure`` semantics; with quarantine on,
         statistics, envelopes and yield draw their surviving mask from the
         merged cross-process :class:`~repro.engine.resilience.SweepReport`,
-        bit-identical to an in-process resilient run.  Bypasses the
-        ``session`` memo (the parallel path is for one-shot production
-        ensembles).
+        bit-identical to an in-process resilient run.
     session:
-        Optional :class:`~repro.engine.session.AnalysisSession`; the whole
-        result is then memoized under ``(circuit, space, grid, samples,
-        seed, method)`` and the nominal response shares the session's cached
-        sweep factorizations.
+        Optional :class:`~repro.engine.session.AnalysisSession`; the
+        nominal response then shares the session's cached sweep
+        factorizations.
     on_failure:
         Passed to :func:`repro.montecarlo.ensemble_sweep` —
         ``"quarantine"`` masks failing samples instead of raising.
-        Resilient runs bypass the session memo (the quarantine report is a
-        run artefact, not a cacheable response).
     store_responses, shard_size:
         ``store_responses=False`` selects the streaming estimation mode of
         the ensemble drivers: responses are folded shard by shard
@@ -299,8 +290,7 @@ def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
         never materialized, so ``samples`` can reach 10⁶ on one machine.
         :meth:`MonteCarloResult.envelope` then serves extremes / moments /
         histogram percentiles from the accumulator; per-sample accessors
-        (``responses``, attribution, yield) are unavailable.  Streaming
-        runs bypass the session memo.
+        (``responses``, attribution, yield) are unavailable.
 
     Returns
     -------
@@ -308,23 +298,6 @@ def monte_carlo_analysis(circuit, output, frequencies, space=None, *,
     """
     if space is None:
         space = ParameterSpace(circuit, tolerances)
-    if (session is not None and on_failure == "raise"
-            and store_responses and processes in (None, 1)):
-        return session.montecarlo(circuit, output, frequencies, space,
-                                  samples=samples, seed=seed, method=method,
-                                  workers=workers)
-    return _monte_carlo(circuit, output, frequencies, space, samples, seed,
-                        method, workers, session=session,
-                        on_failure=on_failure,
-                        processes=processes, store_responses=store_responses,
-                        shard_size=shard_size)
-
-
-def _monte_carlo(circuit, output, frequencies, space, samples, seed,
-                 method, workers, session=None, on_failure="raise",
-                 processes=None, store_responses=True,
-                 shard_size=1024) -> MonteCarloResult:
-    """The analysis itself (no memoization) — session feeds the nominal sweep."""
     frequencies = np.asarray(frequencies, dtype=float)
     streaming = ({} if store_responses
                  else {"store_responses": False, "shard_size": shard_size})

@@ -14,7 +14,6 @@ formulas, which the tests compare against the interpolated references.
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 from ..netlist.circuit import Circuit

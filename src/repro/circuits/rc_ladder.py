@@ -18,12 +18,11 @@ the adaptive scaling.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..errors import NetlistError
 from ..netlist.circuit import Circuit
 from ..nodal.reduce import TransferSpec
-from ..xfloat import XFloat
 
 __all__ = ["build_rc_ladder", "rc_ladder_denominator_coefficients"]
 

@@ -13,7 +13,6 @@ SBG rankings readable.
 
 from __future__ import annotations
 
-from ..netlist.circuit import Circuit
 from ..netlist.elements import GROUND
 from .bjt import BjtSmallSignal
 from .diode import DiodeSmallSignal

@@ -90,7 +90,6 @@ class AnalysisSession:
         self._symbolic_engines: Dict[Tuple, object] = {}
         self._symbolic_transfers: Dict[Tuple, object] = {}
         self._compiled: Dict[Tuple, object] = {}
-        self._montecarlo: Dict[Tuple, object] = {}
         self.hits = 0
         self.misses = 0
         self._compiled_stats = {"compiles": 0, "hits": 0, "evictions": 0}
@@ -422,30 +421,6 @@ class AnalysisSession:
             self._compiled_stats["evictions"] += 1
         return model
 
-    def montecarlo(self, circuit, output, frequencies, space, *,
-                   samples=128, seed=0, method="auto", workers=None):
-        """The circuit's :class:`~repro.analysis.montecarlo.MonteCarloResult`.
-
-        Monte Carlo runs are pure functions of circuit content, output,
-        grid, parameter space, ensemble size, seed and method, so whole
-        results are memoized — a yield dashboard re-querying the ensemble a
-        report pass already computed gets the stored object back, and the
-        nominal response inside shares this session's cached sweep
-        factorizations.  ``monte_carlo_analysis(..., session=...)``
-        delegates here.
-        """
-        from ..analysis.montecarlo import _monte_carlo
-
-        frequencies = np.asarray(list(frequencies), dtype=float)
-        key = (self.fingerprint(circuit), self._spec_key(output),
-               self._grid_key(frequencies), space.key(), int(samples),
-               int(seed), method)
-        return self._get(
-            self._montecarlo, key,
-            lambda: _monte_carlo(circuit, output, frequencies, space,
-                                 samples, seed, method, workers,
-                                 session=self))
-
     # ------------------------------------------------------------------ #
     # session-backed analyses
     # ------------------------------------------------------------------ #
@@ -478,7 +453,7 @@ class AnalysisSession:
         return (self._mna, self._nodal, self._samplers, self._sweeps,
                 self._references, self._admittance, self._screenings,
                 self._symbolic_nodal, self._symbolic_engines,
-                self._symbolic_transfers, self._compiled, self._montecarlo)
+                self._symbolic_transfers, self._compiled)
 
     def invalidate(self, circuit=None):
         """Drop cached artifacts — of one circuit, or everything.

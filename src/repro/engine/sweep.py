@@ -10,9 +10,10 @@ owns the whole strategy:
   stack never outgrows a fixed memory budget) and factored with
   :func:`~repro.linalg.dense.batched_dense_lu`, one vectorized elimination
   per chunk;
-* **sparse path** — the union sparsity structure is assembled once, a
-  fill-reducing elimination order (:mod:`repro.linalg.ordering`, AMD by
-  default) is computed from it and the ordered pivot search
+* **sparse path** — the union sparsity structure is assembled once, its
+  approximate-minimum-degree elimination order
+  (:func:`~repro.linalg.ordering.fill_reducing_order`) is computed from it
+  and the ordered pivot search
   (:func:`~repro.linalg.lu.sparse_lu_reusing`) runs at the first point.  Its
   pivot order is compiled into a :class:`~repro.linalg.lu.RefactorSchedule`
   and every other point is refactored by it, vectorized over chunks of
@@ -37,8 +38,7 @@ import numpy as np
 
 from ..errors import (FormulationError, SingularMatrixError,
                       SolveFailureError)
-from ..linalg.config import (SPARSE_ORDERINGS, dense_cutoff, sparse_ordering,
-                             use_dense)
+from ..linalg.config import dense_cutoff, use_dense
 from ..linalg.dense import batched_dense_lu, sweep_chunk_size
 from ..linalg.lu import sparse_lu_reusing
 from ..linalg.ordering import fill_reducing_order
@@ -74,13 +74,6 @@ class SweepEngine:
         Noun used in :class:`~repro.errors.SingularMatrixError` messages
         (``"matrix"``, ``"MNA matrix"``, …), so adapters keep their historic
         diagnostics.
-    ordering:
-        Sparse elimination-ordering strategy (see
-        :data:`~repro.linalg.config.SPARSE_ORDERINGS`): ``"auto"`` / ``"amd"``
-        / ``"rcm"`` / ``"natural"`` pre-order the merged structure once and
-        eliminate along that fixed order, ``"markowitz"`` keeps the dynamic
-        per-step pivot search.  Default: the
-        :func:`~repro.linalg.config.sparse_ordering` configuration.
 
     Attributes
     ----------
@@ -101,19 +94,12 @@ class SweepEngine:
     refactoring cheaply from one sweep to the next.
     """
 
-    def __init__(self, formulation, method="auto", singular_label="matrix",
-                 ordering=None):
+    def __init__(self, formulation, method="auto", singular_label="matrix"):
         if method not in _METHODS:
             raise FormulationError(f"unknown factorization method {method!r}")
-        if ordering is None:
-            ordering = sparse_ordering()
-        elif ordering not in SPARSE_ORDERINGS:
-            raise FormulationError(
-                f"unknown sparse ordering {ordering!r}")
         self.formulation = formulation
         self.method = method
         self.singular_label = singular_label
-        self.ordering = ordering
         self.dense_cutoff = dense_cutoff()
         self.factorization_count = 0
         self.refactorization_count = 0
@@ -133,18 +119,16 @@ class SweepEngine:
                          cutoff=self.dense_cutoff)
 
     def column_order(self):
-        """The engine's fill-reducing elimination order (``None`` = Markowitz).
+        """The engine's elimination order: AMD of its merged structure.
 
         Computed once per engine from the merged sparsity structure — purely
         structural, so it is shared by every sweep point, every parameter
         sample and every refactorization fallback this engine performs.
         """
-        if self.ordering == "markowitz":
-            return None
         if self._column_order is None:
             keys, __, __ = self.formulation.merged_sparse_structure()
             self._column_order = fill_reducing_order(
-                self.formulation.dimension, keys, method=self.ordering)
+                self.formulation.dimension, keys)
         return self._column_order
 
     # ------------------------------------------------------------------ #

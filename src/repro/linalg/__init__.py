@@ -14,6 +14,8 @@ substrate from scratch:
 * :func:`~repro.linalg.lu.sparse_lu_refactor` — numeric refactorization that
   reuses the pivot order of a previous factorization, the factor-once /
   refactor-many primitive of the batched frequency-sweep engine,
+* :func:`~repro.linalg.ordering.fill_reducing_order` — the approximate
+  minimum-degree (AMD) elimination order every sparse sweep factors along,
 * :func:`~repro.linalg.dense.dense_lu` — a dense LU with partial pivoting used
   for cross-checking and for small systems,
 * :func:`~repro.linalg.dense.batched_dense_lu` — the same dense algorithm
@@ -25,11 +27,11 @@ substrate from scratch:
 * :mod:`~repro.linalg.det` — convenience determinant / solve wrappers.
 """
 
-from .config import DEFAULT_DENSE_CUTOFF, dense_cutoff, sparse_ordering
+from .config import DEFAULT_DENSE_CUTOFF, dense_cutoff
 from .sparse import SparseMatrix
 from .lu import sparse_lu, sparse_lu_refactor, LUFactorization
-from .ordering import (amd_order, rcm_order, fill_reducing_order,
-                       inverse_permutation, permute_symmetric)
+from .ordering import (fill_reducing_order, inverse_permutation,
+                       permute_symmetric)
 from .dense import dense_lu, DenseLU, batched_dense_lu, BatchedDenseLU
 from .rank1 import Rank1Stamp, rank1_update_solve
 from .det import determinant, solve_linear_system, log10_determinant
@@ -37,13 +39,10 @@ from .det import determinant, solve_linear_system, log10_determinant
 __all__ = [
     "DEFAULT_DENSE_CUTOFF",
     "dense_cutoff",
-    "sparse_ordering",
     "SparseMatrix",
     "sparse_lu",
     "sparse_lu_refactor",
     "LUFactorization",
-    "amd_order",
-    "rcm_order",
     "fill_reducing_order",
     "inverse_permutation",
     "permute_symmetric",

@@ -1,4 +1,4 @@
-"""Fill-reducing elimination orderings for the sparse LU path.
+"""The fill-reducing elimination order of the sparse LU path.
 
 The Markowitz pivot search of :func:`~repro.linalg.lu.sparse_lu` scans every
 active column at every elimination step — an O(n²)-and-up cost that is
@@ -8,24 +8,17 @@ matrix from its structure alone and then eliminate along that fixed order with
 cheap threshold pivoting: the expensive combinatorial work runs once per
 sparsity pattern instead of once per factorization step.
 
-Two orderings are provided, both pure Python over the existing
-:class:`~repro.linalg.sparse.SparseMatrix` structure objects:
-
-* :func:`amd_order` — minimum-degree on the quotient (element) graph, the
-  ordering family behind AMD/MMD.  Eliminated variables collapse into
-  *elements* (cliques) instead of materializing their fill edges, so the
-  symbolic cost tracks the fill, not its square.  Degrees are the standard
-  AMD-style upper bound ``|A_v| + Σ_e (|L_e| − 1)`` (element overlaps are not
-  deduplicated), which keeps the update O(clique) per elimination.
-* :func:`rcm_order` — reverse Cuthill–McKee, the bandwidth-minimizing BFS
-  ordering.  Cheaper and more robust (no degree bookkeeping), with more fill
-  than minimum degree on meshes; it is the fallback when AMD fails.
-
-:func:`fill_reducing_order` is the front door: ``method="auto"`` tries AMD and
-falls back to RCM, ``"natural"`` returns the identity order (banded matrices
-in their native numbering).  The result feeds ``column_order=`` of
-:func:`~repro.linalg.lu.sparse_lu`, which prefers the structurally symmetric
-pivot of each ordered column under the usual relative-magnitude threshold.
+:func:`fill_reducing_order` is the approximate-minimum-degree (AMD) order
+(Amestoy, Davis & Duff, SIAM J. Matrix Anal. Appl. 17(4), 1996), pure Python
+over the :class:`~repro.linalg.sparse.SparseMatrix` structure keys: minimum
+degree on the quotient (element) graph.  Eliminated variables collapse into
+*elements* (cliques) instead of materializing their fill edges, so the
+symbolic cost tracks the fill, not its square.  Degrees are the standard
+AMD-style upper bound ``|A_v| + Σ_e (|L_e| − 1)`` (element overlaps are not
+deduplicated), which keeps the update O(clique) per elimination.  The result
+feeds ``column_order=`` of :func:`~repro.linalg.lu.sparse_lu`, which prefers
+the structurally symmetric pivot of each ordered column under the usual
+relative-magnitude threshold.
 
 Orderings are purely structural: the same key list always yields the same
 permutation, so factor-once / refactor-many sweeps stay deterministic.
@@ -38,11 +31,7 @@ from typing import List, Sequence
 
 from ..errors import LinAlgError
 
-__all__ = ["amd_order", "rcm_order", "fill_reducing_order",
-           "inverse_permutation", "permute_symmetric", "ORDERING_METHODS"]
-
-#: Accepted ``method`` values of :func:`fill_reducing_order`.
-ORDERING_METHODS = ("auto", "amd", "rcm", "natural")
+__all__ = ["fill_reducing_order", "inverse_permutation", "permute_symmetric"]
 
 
 def _symmetrized_adjacency(n, keys) -> List[set]:
@@ -63,7 +52,7 @@ def _symmetrized_adjacency(n, keys) -> List[set]:
     return adjacency
 
 
-def amd_order(n, keys) -> List[int]:
+def fill_reducing_order(n, keys) -> List[int]:
     """Approximate-minimum-degree elimination order of an ``n×n`` structure.
 
     Parameters
@@ -71,12 +60,15 @@ def amd_order(n, keys) -> List[int]:
     n:
         Matrix dimension.
     keys:
-        Iterable of ``(row, col)`` structure keys (values are irrelevant).
+        Iterable of ``(row, col)`` structure keys — typically the merged
+        key list of :func:`~repro.linalg.sparse.merged_structure`; values
+        are irrelevant.
 
     Returns
     -------
     list of int
-        ``order[k]`` is the original index eliminated at step ``k``.
+        A permutation of ``range(n)``; ``order[k]`` is the original column
+        (and preferred pivot row) of elimination step ``k``.
     """
     if n < 0:
         raise LinAlgError("ordering requires a non-negative dimension")
@@ -129,73 +121,6 @@ def amd_order(n, keys) -> List[int]:
             degrees[variable] = degree
             heapq.heappush(heap, (degree, variable))
     return order
-
-
-def rcm_order(n, keys) -> List[int]:
-    """Reverse Cuthill–McKee elimination order of an ``n×n`` structure.
-
-    Breadth-first search from a minimum-degree start node per connected
-    component, neighbors visited by increasing degree, final order reversed.
-    """
-    if n < 0:
-        raise LinAlgError("ordering requires a non-negative dimension")
-    adjacency = _symmetrized_adjacency(n, keys)
-    degrees = [len(adjacency[v]) for v in range(n)]
-    neighbors = [sorted(adjacency[v], key=lambda u: (degrees[u], u))
-                 for v in range(n)]
-    visited = [False] * n
-    order: List[int] = []
-    for start in sorted(range(n), key=lambda v: (degrees[v], v)):
-        if visited[start]:
-            continue
-        visited[start] = True
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            node = queue[head]
-            head += 1
-            order.append(node)
-            for neighbor in neighbors[node]:
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    queue.append(neighbor)
-    order.reverse()
-    return order
-
-
-def fill_reducing_order(n, keys, method="auto") -> List[int]:
-    """A fill-reducing elimination order for an ``n×n`` sparse structure.
-
-    Parameters
-    ----------
-    n:
-        Matrix dimension.
-    keys:
-        Iterable of ``(row, col)`` structure keys — typically the merged
-        key list of :func:`~repro.linalg.sparse.merged_structure`.
-    method:
-        ``"auto"`` (AMD, falling back to RCM on failure), ``"amd"``,
-        ``"rcm"`` or ``"natural"`` (the identity order).
-
-    Returns
-    -------
-    list of int
-        A permutation of ``range(n)``; ``order[k]`` is the original column
-        (and preferred pivot row) of elimination step ``k``.
-    """
-    if method not in ORDERING_METHODS:
-        raise LinAlgError(f"unknown ordering method {method!r}")
-    if method == "natural":
-        return list(range(n))
-    keys = list(keys)
-    if method == "rcm":
-        return rcm_order(n, keys)
-    if method == "amd":
-        return amd_order(n, keys)
-    try:
-        return amd_order(n, keys)
-    except Exception:   # pragma: no cover - AMD is total on valid input
-        return rcm_order(n, keys)
 
 
 def inverse_permutation(order: Sequence[int]) -> List[int]:

@@ -14,7 +14,7 @@ paper's reference [6]).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from ..engine.formulation import FormulationBase
 from ..errors import FormulationError
 from ..linalg.rank1 import Rank1Stamp
 from ..linalg.sparse import SparseMatrix
-from ..netlist.circuit import Circuit
 from ..netlist.elements import (
     CCCS,
     CCVS,

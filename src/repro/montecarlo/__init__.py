@@ -47,8 +47,7 @@ from .checkpoint import (CheckpointedRun, checkpoint_info,
 from .compiled import (compiled_corner_analysis, compiled_ensemble_sweep,
                        compiled_monte_carlo)
 from .engine import EnsembleResult, ensemble_sweep, rebuild_sweep
-from .parallel import (ParallelRunInfo, SupervisorConfig,
-                       parallel_ensemble_sweep)
+from .parallel import ParallelRunInfo, parallel_ensemble_sweep
 from .program import ValueProgram
 from .qmc import latin_hypercube_uniforms, sobol_uniforms
 from .space import ParameterSpace
@@ -77,6 +76,5 @@ __all__ = [
     "sobol_uniforms",
     "latin_hypercube_uniforms",
     "parallel_ensemble_sweep",
-    "SupervisorConfig",
     "ParallelRunInfo",
 ]

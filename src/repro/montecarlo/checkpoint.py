@@ -265,8 +265,8 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
                                 path, samples=128, seed=0, shard_size=32,
                                 max_shards=None, tolerances=None,
                                 method="auto", on_failure="quarantine",
-                                workers=None, supervisor=None,
-                                store_responses=True, histogram_bins=None,
+                                workers=None, store_responses=True,
+                                histogram_bins=None,
                                 histogram_range=None) -> CheckpointedRun:
     """Run (or resume) a tolerance ensemble with periodic checkpointing.
 
@@ -301,17 +301,15 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
         runs default to ``"quarantine"`` so one bad sample cannot waste
         hours of completed work.  With the escalation chain fixed, this and
         ``method`` are the whole solve configuration a resume must match.
-    workers, supervisor:
+    workers:
         The remaining shards run through
         :func:`~repro.montecarlo.parallel.run_shards`: in-process on the
-        engine's default thread count for ``workers`` ``None`` / ``1``, in
-        supervised worker processes otherwise (configured by the optional
-        :class:`~repro.montecarlo.parallel.SupervisorConfig`).  Shards
-        complete out of order, but the checkpoint only ever absorbs the
-        contiguous prefix — in fixed shard order — so the file on disk is
-        at all times bit-identical to one a sequential run would have
-        written, and a killed *supervisor* resumes bit-identically with
-        any worker count.
+        engine's default thread count for ``None`` / ``1``, in supervised
+        worker processes otherwise.  Shards complete out of order, but the
+        checkpoint only ever absorbs the contiguous prefix — in fixed shard
+        order — so the file on disk is at all times bit-identical to one a
+        sequential run would have written, and a killed *supervisor*
+        resumes bit-identically with any worker count.
     store_responses, histogram_bins, histogram_range:
         ``store_responses=False`` switches to the streaming estimation
         mode: the checkpoint persists only the
@@ -391,7 +389,7 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
         fold.solver = state["solver_used"]
     resumed_from = fold.completed
 
-    def save(*__):
+    def save():
         """Persist the run state after each shard the fold absorbed."""
         _save_checkpoint(path, fingerprint=fingerprint,
                          space_digest=space_digest, seed=seed,
@@ -413,7 +411,7 @@ def checkpointed_ensemble_sweep(circuit, output, frequencies, space=None, *,
     run_shards(circuit, output, frequencies, space, values, plan,
                method=method, on_failure=on_failure,
                workers=1 if in_process else workers,
-               config=supervisor, on_shard_complete=save, fold=fold,
+               on_shard_complete=save, fold=fold,
                threads=None if in_process else 1)
 
     finished = fold.completed == samples

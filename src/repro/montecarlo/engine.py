@@ -93,10 +93,10 @@ class EnsembleResult:
         ``"lapack"``, ``"sparse"`` or ``"compiled"`` — the backend that
         produced the responses.
     report:
-        The :class:`~repro.engine.resilience.SweepReport` of a resilient run
-        (``None`` on the legacy path).  Quarantined samples' response rows
-        are NaN; use :meth:`surviving_mask` to restrict statistics to the
-        samples that solved.
+        The :class:`~repro.engine.resilience.SweepReport` of an
+        ``on_failure="quarantine"`` run (``None`` otherwise).  Quarantined
+        samples' response rows are NaN; use :meth:`surviving_mask` to
+        restrict statistics to the samples that solved.
     parallel:
         The :class:`~repro.montecarlo.parallel.ParallelRunInfo` of a
         supervised multiprocess run (``None`` otherwise).

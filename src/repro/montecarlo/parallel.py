@@ -44,9 +44,10 @@ merges each shard's report exactly once, in plan order, so the run's report
 records every escalation and quarantine no matter how many processes
 solved it.
 
-Environment knobs: ``REPRO_MP_START`` selects the multiprocessing start
-method (``fork`` / ``spawn`` / ``forkserver``; default: the platform
-default), ``REPRO_PARALLEL_WORKERS`` the default worker count.
+Supervision is one fixed policy: the timing and retry-budget constants
+below.  ``REPRO_MP_START`` selects the multiprocessing start method
+(``fork`` / ``spawn`` / ``forkserver``; default: the platform default), and
+the caller's ``workers`` the worker count (default: the CPU count).
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.resilience import SweepReport
 from ..errors import (FormulationError, ReproError, ShardFailureError,
                       SingularMatrixError)
 from .engine import (EnsembleResult, _EnsembleFold, _ensemble_values,
@@ -74,8 +74,36 @@ from .engine import (EnsembleResult, _EnsembleFold, _ensemble_values,
 from .space import ParameterSpace
 from .statistics import EnsembleStatistics
 
-__all__ = ["SupervisorConfig", "ParallelRunInfo", "ShardRun", "shard_plan",
-           "run_shards", "parallel_ensemble_sweep"]
+__all__ = ["HEARTBEAT_INTERVAL", "HEARTBEAT_TIMEOUT", "SHARD_DEADLINE",
+           "MAX_ATTEMPTS", "BACKOFF", "POLL_INTERVAL", "ParallelRunInfo",
+           "ShardRun", "shard_plan", "run_shards", "parallel_ensemble_sweep"]
+
+# The supervisor reads the six constants below each time it runs; it ships
+# HEARTBEAT_INTERVAL to its workers in the payload, so a spawned worker
+# beats at the supervisor's interval.
+
+#: Seconds between worker heartbeats (a daemon thread in each worker stamps
+#: ``time.monotonic()`` into a shared slot).
+HEARTBEAT_INTERVAL = 0.25
+
+#: A busy worker whose last heartbeat is older than this many seconds is
+#: declared hung, killed and replaced; its shard is re-dispatched.
+HEARTBEAT_TIMEOUT = 10.0
+
+#: Wall-clock budget in seconds of one shard attempt; exceeding it counts as
+#: a hang even if heartbeats still arrive.
+SHARD_DEADLINE = 600.0
+
+#: Total attempts per shard (first try + retries) before the run aborts
+#: with :class:`~repro.errors.ShardFailureError`.
+MAX_ATTEMPTS = 3
+
+#: Seconds to wait before re-dispatching a failed shard, scaled by the
+#: number of attempts already made.
+BACKOFF = 0.25
+
+#: Supervisor loop granularity in seconds.
+POLL_INTERVAL = 0.01
 
 #: Process-level fault plan installed by :func:`tests.faults.parallel_faults`:
 #: ``{shard_index: action | [action_per_attempt, ...]}`` with actions
@@ -89,13 +117,7 @@ _FAULT_PLAN: Optional[dict] = None
 
 
 def _default_workers() -> int:
-    """Worker processes when the caller does not say (env-overridable)."""
-    override = os.environ.get("REPRO_PARALLEL_WORKERS")
-    if override:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            pass
+    """Worker processes when the caller does not say: the CPU count."""
     return max(1, os.cpu_count() or 1)
 
 
@@ -103,50 +125,6 @@ def _start_method() -> Optional[str]:
     """Start method from ``REPRO_MP_START`` (``None`` = platform default)."""
     method = os.environ.get("REPRO_MP_START", "").strip().lower()
     return method if method in ("fork", "spawn", "forkserver") else None
-
-
-@dataclasses.dataclass(frozen=True)
-class SupervisorConfig:
-    """Supervision timing and retry budget of a parallel ensemble run.
-
-    Attributes
-    ----------
-    heartbeat_interval:
-        Seconds between worker heartbeats (a daemon thread in each worker
-        stamps ``time.monotonic()`` into a shared slot).
-    heartbeat_timeout:
-        A busy worker whose last heartbeat is older than this is declared
-        hung, killed and replaced; its shard is re-dispatched.
-    shard_deadline:
-        Wall-clock budget for one shard attempt; exceeding it counts as a
-        hang even if heartbeats still arrive.
-    max_attempts:
-        Total attempts per shard (first try + retries) before the run
-        aborts with :class:`~repro.errors.ShardFailureError`.
-    backoff:
-        Seconds to wait before re-dispatching a failed shard, scaled by the
-        number of attempts already made.
-    poll_interval:
-        Supervisor loop granularity.
-    start_method:
-        ``"fork"`` / ``"spawn"`` / ``"forkserver"``; ``None`` reads
-        ``REPRO_MP_START`` and falls back to the platform default.
-    """
-
-    heartbeat_interval: float = 0.25
-    heartbeat_timeout: float = 10.0
-    shard_deadline: float = 600.0
-    max_attempts: int = 3
-    backoff: float = 0.25
-    poll_interval: float = 0.01
-    start_method: Optional[str] = None
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise FormulationError("max_attempts must be at least 1")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise FormulationError(
-                "heartbeat_timeout must exceed heartbeat_interval")
 
 
 @dataclasses.dataclass
@@ -171,17 +149,13 @@ class ParallelRunInfo:
 class ShardRun:
     """How :func:`run_shards` executed its plan.
 
-    ``responses`` is the fold's response matrix, every plan row filled
-    (``None`` for a streaming run, whose estimates live in the fold's
-    accumulators); ``reports`` maps shard index → per-shard
-    :class:`~repro.engine.resilience.SweepReport` (``None`` on the legacy
-    raise path).
+    ``attempts`` maps shard index → chronological attempt trail (strings);
+    ``redispatches`` counts infrastructure re-runs; ``workers`` is the
+    worker count after clamping to the plan.  The results themselves live
+    in the fold.
     """
 
-    responses: Optional[np.ndarray]
-    reports: Dict[int, Optional[SweepReport]]
     attempts: Dict[int, List[str]]
-    solver_used: str
     redispatches: int
     workers: int
 
@@ -386,7 +360,7 @@ def _shutdown(handles) -> None:
 
 def run_shards(circuit, output, frequencies, space, values, plan, *,
                method="auto", on_failure="quarantine",
-               workers=None, config=None, on_shard_complete=None, fold=None,
+               workers=None, on_shard_complete=None, fold=None,
                threads=1) -> ShardRun:
     """Execute a fixed shard plan and fold each shard in plan order.
 
@@ -407,12 +381,10 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
     accumulators, so no O(M×F) buffer exists; the fold's ``weights``
     (global indexing) reach the workers through shared memory.
 
-    ``on_shard_complete(prefix_shards, responses, reports, solver_used)``
-    fires in the calling process after each shard is absorbed, with the
-    fold's responses — which is what lets the checkpoint layer save
-    deterministically mid-run.
+    ``on_shard_complete()`` fires in the calling process after each shard
+    is absorbed, when the fold holds exactly the contiguous prefix — which
+    is what lets the checkpoint layer save deterministically mid-run.
     """
-    config = config or SupervisorConfig()
     values = np.ascontiguousarray(np.asarray(values, dtype=float))
     frequencies = np.asarray(frequencies, dtype=float)
     num_samples, num_axes = values.shape
@@ -428,12 +400,11 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
         "streaming": fold.streaming_options(),
         "num_samples": num_samples, "num_axes": num_axes,
         "num_points": num_points,
-        "heartbeat_interval": config.heartbeat_interval,
+        "heartbeat_interval": HEARTBEAT_INTERVAL,
         "fault_plan": _FAULT_PLAN,
     }
 
     attempts: Dict[int, List[str]] = collections.defaultdict(list)
-    reports: Dict[int, Optional[SweepReport]] = {}
     parked: Dict[int, EnsembleResult] = {}    # solved, awaiting the prefix
     prefix = 0
 
@@ -444,23 +415,17 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
             fold.absorb(parked.pop(shard), start, stop)
             prefix += 1
             if on_shard_complete is not None:
-                on_shard_complete(prefix, fold.responses, reports,
-                                  fold.solver)
+                on_shard_complete()
 
     if workers == 1:
         for shard, start, stop in plan:
-            shard_result = _solve_shard(payload, values, fold.weights, start,
-                                        stop, threads)
-            reports[shard] = shard_result.report
+            parked[shard] = _solve_shard(payload, values, fold.weights,
+                                         start, stop, threads)
             attempts[shard].append("attempt 1 in-process: completed")
-            parked[shard] = shard_result
             advance_prefix()
-        return ShardRun(responses=fold.responses, reports=reports,
-                        attempts=dict(attempts), solver_used=fold.solver,
-                        redispatches=0, workers=1)
+        return ShardRun(attempts=dict(attempts), redispatches=0, workers=1)
 
-    context = multiprocessing.get_context(
-        config.start_method or _start_method())
+    context = multiprocessing.get_context(_start_method())
     values_buffer = RawArray("d", max(1, num_samples * num_axes))
     np.frombuffer(values_buffer, dtype=float)[:values.size] = values.ravel()
     responses_buffer = responses = None
@@ -494,7 +459,7 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
         shard = handle.shard
         handle.shard = None
         attempts[shard].append(reason)
-        if attempt_counts[shard] >= config.max_attempts:
+        if attempt_counts[shard] >= MAX_ATTEMPTS:
             start, stop = bounds[shard]
             failure.append(ShardFailureError(
                 f"shard {shard} (samples {start}:{stop}) failed "
@@ -504,8 +469,7 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
                 attempts=attempts[shard]))
             return
         redispatches += 1
-        ready_at[shard] = (time.monotonic()
-                           + config.backoff * attempt_counts[shard])
+        ready_at[shard] = time.monotonic() + BACKOFF * attempt_counts[shard]
         pending.appendleft(shard)
 
     def replace(index, reason=None):
@@ -544,7 +508,6 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
                 completed.add(shard)
                 if shard in pending:      # late result beat a re-dispatch
                     pending.remove(shard)
-                reports[shard] = shard_report
                 attempts[shard].append(
                     f"attempt {attempt} on worker {slot}: completed")
                 start, stop = bounds[shard]
@@ -553,7 +516,7 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
                     responses=(None if responses is None
                                else responses[start:stop]),
                     space=space, output=output, solver=shard_solver,
-                    report=reports[shard], statistics=shard_stats,
+                    report=shard_report, statistics=shard_stats,
                     yields=shard_yield)
                 advance_prefix()
         elif kind == "numerical":
@@ -590,14 +553,12 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
                                 f"attempt {handle.attempt} on worker "
                                 f"{handle.slot}: worker died (exit code "
                                 f"{handle.process.exitcode})")
-                    elif (now - heartbeats[handle.slot]
-                          > config.heartbeat_timeout):
+                    elif now - heartbeats[handle.slot] > HEARTBEAT_TIMEOUT:
                         replace(index,
                                 f"attempt {handle.attempt} on worker "
                                 f"{handle.slot}: heartbeat lost (worker "
                                 "hung)")
-                    elif (now - handle.dispatched_at
-                          > config.shard_deadline):
+                    elif now - handle.dispatched_at > SHARD_DEADLINE:
                         replace(index,
                                 f"attempt {handle.attempt} on worker "
                                 f"{handle.slot}: shard deadline exceeded")
@@ -606,15 +567,14 @@ def run_shards(circuit, output, frequencies, space, values, plan, *,
                 if failure:
                     break
             if not progressed and not failure:
-                time.sleep(config.poll_interval)
+                time.sleep(POLL_INTERVAL)
     finally:
         _shutdown(handles)
 
     if failure:
         raise failure[0]
-    return ShardRun(responses=fold.responses, reports=reports,
-                    attempts=dict(attempts), solver_used=fold.solver,
-                    redispatches=redispatches, workers=workers)
+    return ShardRun(attempts=dict(attempts), redispatches=redispatches,
+                    workers=workers)
 
 
 # --------------------------------------------------------------------------- #
@@ -626,9 +586,9 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
                             values=None, samples=128, seed=0,
                             sampler="random", shard_size=32, workers=None,
                             method="auto", on_failure="quarantine",
-                            config=None, store_responses=True,
-                            histogram_bins=None, histogram_range=None,
-                            weights=None, yield_specs=None) -> EnsembleResult:
+                            store_responses=True, histogram_bins=None,
+                            histogram_range=None, weights=None,
+                            yield_specs=None) -> EnsembleResult:
     """Evaluate a tolerance ensemble across supervised worker processes.
 
     Drop-in alternative to :func:`~repro.montecarlo.engine.ensemble_sweep`
@@ -653,13 +613,11 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
         statistics folding.  Match a checkpointed run's ``shard_size`` for
         bit-identical statistics streams.
     workers:
-        Worker processes (default: ``REPRO_PARALLEL_WORKERS`` or the CPU
-        count).  ``1`` = sequential in-process execution.
+        Worker processes (default: the CPU count).  ``1`` = sequential
+        in-process execution.
     on_failure:
         Defaults to ``"quarantine"`` — the whole point of a supervised run
         is that neither a bad sample nor a bad worker kills it.
-    config:
-        :class:`SupervisorConfig` timing / retry budget.
     store_responses, histogram_bins, histogram_range, weights, yield_specs:
         Streaming estimation controls, exactly as for
         :func:`~repro.montecarlo.engine.ensemble_sweep`: with
@@ -693,7 +651,7 @@ def parallel_ensemble_sweep(circuit, output, frequencies, space=None, *,
         weights=weights, yield_specs=yield_specs)
     run = run_shards(circuit, output, frequencies, space, values, plan,
                      method=method, on_failure=on_failure,
-                     workers=workers, config=config, fold=fold)
+                     workers=workers, fold=fold)
     info = ParallelRunInfo(workers=run.workers, shard_size=int(shard_size),
                            shards=len(plan), redispatches=run.redispatches,
                            attempts=run.attempts, statistics=fold.statistics)

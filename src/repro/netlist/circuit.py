@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import copy as _copy
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from ..errors import NetlistError, UnknownElementError, UnknownNodeError
 from .elements import (

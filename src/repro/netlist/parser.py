@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ParseError
 from ..units import parse_value

@@ -32,11 +32,9 @@ from .elements import (
     CCVS,
     Capacitor,
     Conductor,
-    CurrentSource,
     GROUND,
     Inductor,
     Resistor,
-    VCCS,
     VCVS,
     VoltageSource,
 )

@@ -14,8 +14,7 @@ from collections import defaultdict, deque
 from typing import Dict, List, Set
 
 from ..errors import ValidationError
-from .circuit import Circuit
-from .elements import CCCS, CCVS, GROUND, CurrentSource, Element, VoltageSource
+from .elements import CCCS, CCVS, GROUND, CurrentSource, VoltageSource
 
 __all__ = ["ValidationReport", "validate_circuit"]
 

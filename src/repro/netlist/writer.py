@@ -9,10 +9,7 @@ matrix builders consume.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..units import format_value
-from .circuit import Circuit
 from .elements import (
     CCCS,
     CCVS,

@@ -15,7 +15,7 @@ current drive, because a current excitation contributes no admittance factor).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from ..engine.formulation import FormulationBase
 from ..errors import FormulationError
 from ..linalg.rank1 import Rank1Stamp
 from ..linalg.sparse import SparseMatrix
-from ..netlist.circuit import Circuit
 from ..netlist.elements import (
     Capacitor,
     Conductor,

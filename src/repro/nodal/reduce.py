@@ -23,7 +23,7 @@ and ``Vim`` (−1/2), observed at ``vo``::
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 

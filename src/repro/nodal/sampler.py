@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

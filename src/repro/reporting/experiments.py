@@ -1443,8 +1443,8 @@ def run_scaling_curve(reduced=False, families=None, num_frequencies=8,
 
     Every generator circuit is swept over ``num_frequencies`` log-spaced
     points twice — once through the dense batched path, once through the
-    sparse refactorization path with the configured fill-reducing ordering —
-    and the solutions compared.  ``reduced=True`` (CI smoke, also forced by
+    sparse refactorization path along the AMD elimination order — and the
+    solutions compared.  ``reduced=True`` (CI smoke, also forced by
     ``REPRO_BENCH_REDUCED=1`` in :mod:`benchmarks.bench_scaling`) caps the
     curve at ~256 unknowns; the full curve reaches past 10³ where the dense
     stack's O(n³) factor cost dominates.

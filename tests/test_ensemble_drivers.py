@@ -17,12 +17,13 @@ import pytest
 
 from faults import ensemble_faults
 
+import repro.montecarlo.parallel as parallel_module
 from repro.analysis.montecarlo import YieldSpec
 from repro.circuits.rc_ladder import build_rc_ladder
 from repro.engine.resilience import report_to_json
 from repro.montecarlo import (EnsembleStatistics, ParameterSpace,
-                              SupervisorConfig, checkpointed_ensemble_sweep,
-                              engine, ensemble_sweep, parallel_ensemble_sweep)
+                              checkpointed_ensemble_sweep, engine,
+                              ensemble_sweep, parallel_ensemble_sweep)
 from repro.montecarlo.parallel import shard_plan
 
 FREQUENCIES = np.logspace(1, 6, 5)
@@ -32,11 +33,18 @@ SHARD_SIZE = 8
 #: "nan" members are quarantined; the ladder's "singular" fault is
 #: consistent, so the regularized stage recovers it.
 FAULTS = {3: "nan", 21: "singular", 30: "nan"}
-FAST = SupervisorConfig(heartbeat_interval=0.05, heartbeat_timeout=0.8,
-                        shard_deadline=30.0, backoff=0.01,
-                        poll_interval=0.005)
 DRIVERS = [("inline", None), ("parallel", 1), ("parallel", 2),
            ("checkpointed", None), ("checkpointed", 2)]
+
+
+@pytest.fixture(autouse=True)
+def fast_supervision(monkeypatch):
+    """Tight supervision timings: hang detection after 0.8 s of heartbeat
+    silence, near-immediate re-dispatch."""
+    for name, value in (("HEARTBEAT_INTERVAL", 0.05),
+                        ("HEARTBEAT_TIMEOUT", 0.8), ("SHARD_DEADLINE", 30.0),
+                        ("BACKOFF", 0.01), ("POLL_INTERVAL", 0.005)):
+        monkeypatch.setattr(parallel_module, name, value)
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +69,11 @@ def _run(ladder, driver, store_responses, path, **overrides):
         return result, result.statistics
     if kind == "parallel":
         result = parallel_ensemble_sweep(circuit, spec, FREQUENCIES, space,
-                                         workers=workers, config=FAST,
-                                         **options)
+                                         workers=workers, **options)
         return result, result.parallel.statistics
     run = checkpointed_ensemble_sweep(circuit, spec, FREQUENCIES, space,
                                       path=str(path), workers=workers,
-                                      supervisor=FAST, **options)
+                                      **options)
     assert run.finished
     return run.ensemble, run.statistics
 
@@ -146,8 +153,7 @@ def test_yield_specs_iterator_matches_list(ladder, workers):
             return ensemble_sweep(circuit, spec, FREQUENCIES, space,
                                   **options).yields
         return parallel_ensemble_sweep(circuit, spec, FREQUENCIES, space,
-                                       workers=workers, config=FAST,
-                                       **options).yields
+                                       workers=workers, **options).yields
 
     listed = yields(specs)
     assert listed.spec_names == ["gain", "ceiling"]

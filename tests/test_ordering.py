@@ -7,11 +7,13 @@ Three pillars of the ordered sparse engine:
   ``P·A·Pᵀ`` in natural order: identical pivots, and identical solutions
   after back-permutation.  This is what lets the engine keep its factors in
   original index space (no back-permutation anywhere downstream).
-* **Fill-in monotonicity** — AMD / RCM never beat by the natural order on
-  the generator topologies (and AMD is exact — zero fill — on trees).
+* **Fill-in monotonicity** — the AMD order is never beaten by the natural
+  order on the generator topologies (and is exact — zero fill — on trees).
 * **Error paths** — structurally deficient and numerically singular systems
   fail loudly through :func:`~repro.linalg.lu.sparse_lu` and
   :func:`~repro.linalg.lu.sparse_lu_refactor`, with and without an ordering.
+
+The sweep engine eliminates along that AMD order of its merged structure.
 """
 
 from __future__ import annotations
@@ -20,14 +22,16 @@ import numpy as np
 import pytest
 
 from repro.circuits import build_clock_tree, build_rc_mesh
+from repro.circuits.generators import build_generator
 from repro.engine.sweep import SweepEngine
-from repro.errors import FormulationError, LinAlgError, SingularMatrixError
+from repro.errors import LinAlgError, SingularMatrixError
 from repro.linalg.lu import sparse_lu, sparse_lu_refactor, sparse_lu_reusing
-from repro.linalg.ordering import (amd_order, fill_reducing_order,
-                                   inverse_permutation, permute_symmetric,
-                                   rcm_order)
+from repro.linalg.ordering import (fill_reducing_order, inverse_permutation,
+                                   permute_symmetric)
 from repro.linalg.sparse import SparseMatrix
 from repro.mna.builder import build_mna_system
+from repro.netlist.transform import to_admittance_form
+from repro.nodal.admittance import build_nodal_formulation
 
 from strategies import random_circuit
 
@@ -47,7 +51,7 @@ class TestPermutationRoundTrip:
     def test_mesh_round_trip(self, seed):
         matrix, keys, system = _mesh_matrix(7, seed=seed)
         n = matrix.n_rows
-        order = amd_order(n, keys)
+        order = fill_reducing_order(n, keys)
         assert sorted(order) == list(range(n))
 
         direct = sparse_lu(matrix, column_order=order)
@@ -76,15 +80,15 @@ class TestPermutationRoundTrip:
         keys, __, ___ = system.merged_sparse_structure()
         matrix = system.assemble(2j * np.pi * 997.0)
         n = matrix.n_rows
-        for order in (amd_order(n, keys), rcm_order(n, keys)):
-            direct = sparse_lu(matrix, column_order=order)
-            natural = sparse_lu(permute_symmetric(matrix, order),
-                                column_order=list(range(n)))
-            assert direct.pivots == natural.pivots, (seed, order)
+        order = fill_reducing_order(n, keys)
+        direct = sparse_lu(matrix, column_order=order)
+        natural = sparse_lu(permute_symmetric(matrix, order),
+                            column_order=list(range(n)))
+        assert direct.pivots == natural.pivots, seed
 
     def test_permute_symmetric_round_trip(self):
         matrix, keys, __ = _mesh_matrix(4)
-        order = rcm_order(matrix.n_rows, keys)
+        order = fill_reducing_order(matrix.n_rows, keys)
         inverse = inverse_permutation(order)
         assert [order[i] for i in inverse] == list(range(matrix.n_rows))
         back = permute_symmetric(permute_symmetric(matrix, order), inverse)
@@ -92,17 +96,16 @@ class TestPermutationRoundTrip:
 
 
 class TestFillMonotonicity:
-    """Fill-reducing orders never lose to the natural order on generators."""
+    """The AMD order never loses to the natural order on generators."""
 
     @pytest.mark.parametrize("rows", [6, 10, 14])
     def test_mesh_fill(self, rows):
         matrix, keys, __ = _mesh_matrix(rows)
         n = matrix.n_rows
         natural = sparse_lu(matrix, column_order=list(range(n))).fill_in
-        for method in ("amd", "rcm", "auto"):
-            order = fill_reducing_order(n, keys, method=method)
-            ordered = sparse_lu(matrix, column_order=order).fill_in
-            assert ordered <= natural, (rows, method, ordered, natural)
+        order = fill_reducing_order(n, keys)
+        ordered = sparse_lu(matrix, column_order=order).fill_in
+        assert ordered <= natural, (rows, ordered, natural)
 
     @pytest.mark.parametrize("levels", [4, 6])
     def test_tree_fill_is_zero(self, levels):
@@ -110,7 +113,7 @@ class TestFillMonotonicity:
         system = build_mna_system(circuit)
         keys, _c, _d = system.merged_sparse_structure()
         matrix = system.assemble(2j * np.pi * 1e5)
-        order = amd_order(matrix.n_rows, keys)
+        order = fill_reducing_order(matrix.n_rows, keys)
         # Eliminating leaves first, a tree factors with no fill at all.
         assert sparse_lu(matrix, column_order=order).fill_in == 0
 
@@ -193,47 +196,31 @@ class TestErrorPaths:
             engine.solve_sweep(np.array([0.0 + 0.0j]), system.rhs)
 
 
-class TestOrderingConfiguration:
-    """REPRO_SPARSE_ORDERING selects the engine's elimination order."""
+class TestEngineOrdering:
+    """The sweep engine eliminates along the AMD order of its structure."""
 
-    def test_engine_reads_env(self, monkeypatch):
-        circuit, __ = build_rc_mesh(5)
-        system = build_mna_system(circuit)
-        keys, _c, _d = system.merged_sparse_structure()
-        n = system.dimension
+    @pytest.mark.parametrize("kind", ["mna", "nodal"])
+    def test_engine_uses_fill_reducing_order(self, kind):
+        circuit, spec = build_generator("mesh", 60, seed=2)
+        if kind == "mna":
+            formulation = build_mna_system(circuit)
+        else:
+            formulation = build_nodal_formulation(
+                to_admittance_form(circuit), spec)
+        keys, __, ___ = formulation.merged_sparse_structure()
+        n = formulation.dimension
+        order = SweepEngine(formulation, method="sparse").column_order()
+        assert order == fill_reducing_order(n, keys)
+        assert sorted(order) == list(range(n))
 
-        monkeypatch.setenv("REPRO_SPARSE_ORDERING", "natural")
-        assert SweepEngine(system).column_order() == list(range(n))
-        monkeypatch.setenv("REPRO_SPARSE_ORDERING", "rcm")
-        assert SweepEngine(system).column_order() == rcm_order(n, keys)
-        monkeypatch.setenv("REPRO_SPARSE_ORDERING", "markowitz")
-        assert SweepEngine(system).column_order() is None
-        monkeypatch.setenv("REPRO_SPARSE_ORDERING", "amd")
-        assert SweepEngine(system).column_order() == amd_order(n, keys)
-        # Unknown values fall back to the default strategy.
-        monkeypatch.setenv("REPRO_SPARSE_ORDERING", "nonsense")
-        assert SweepEngine(system).ordering == "auto"
-
-    def test_explicit_ordering_wins_over_env(self, monkeypatch):
-        circuit, __ = build_rc_mesh(5)
-        system = build_mna_system(circuit)
-        monkeypatch.setenv("REPRO_SPARSE_ORDERING", "markowitz")
-        engine = SweepEngine(system, ordering="rcm")
-        assert engine.ordering == "rcm"
-        assert engine.column_order() is not None
-        with pytest.raises(FormulationError, match="ordering"):
-            SweepEngine(system, ordering="bogus")
-
-    @pytest.mark.parametrize("ordering", ["natural", "rcm", "amd",
-                                          "markowitz"])
-    def test_every_strategy_solves(self, ordering):
+    def test_engine_order_solves(self):
         circuit, spec = build_rc_mesh(6)
         system = build_mna_system(circuit)
         s = 2j * np.pi * np.logspace(2, 8, 4)
         reference = SweepEngine(system, method="dense").solve_sweep(
             s, system.rhs)
-        solution = SweepEngine(system, method="sparse",
-                               ordering=ordering).solve_sweep(s, system.rhs)
+        solution = SweepEngine(system, method="sparse").solve_sweep(
+            s, system.rhs)
         norms = np.linalg.norm(reference, axis=1, keepdims=True)
         deviation = float(np.max(np.abs(solution - reference) / norms))
-        assert deviation <= 1e-10, (ordering, deviation)
+        assert deviation <= 1e-10, deviation

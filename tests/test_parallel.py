@@ -32,25 +32,31 @@ import pytest
 
 from faults import ensemble_faults, parallel_faults
 
+import repro.montecarlo.parallel as parallel_module
 from repro.analysis.montecarlo import monte_carlo_analysis
 from repro.circuits.rc_ladder import build_rc_ladder
 from repro.engine.resilience import report_to_json
 from repro.errors import (FormulationError, ShardFailureError,
                           SingularMatrixError)
-from repro.montecarlo import (ParameterSpace, SupervisorConfig,
-                              checkpoint_info, checkpointed_ensemble_sweep,
-                              ensemble_sweep, parallel_ensemble_sweep)
+from repro.montecarlo import (ParameterSpace, checkpoint_info,
+                              checkpointed_ensemble_sweep, ensemble_sweep,
+                              parallel_ensemble_sweep)
+from repro.montecarlo.engine import _EnsembleFold
 from repro.montecarlo.parallel import (_default_workers, _start_method,
                                        run_shards, shard_plan)
 from repro.netlist.circuit import Circuit
 
 FREQUENCIES = np.logspace(1, 6, 5)
 
-#: Tight supervision timings so fault tests finish in seconds: hang
-#: detection after 0.8 s of heartbeat silence, near-immediate re-dispatch.
-FAST = SupervisorConfig(heartbeat_interval=0.05, heartbeat_timeout=0.8,
-                        shard_deadline=30.0, backoff=0.01,
-                        poll_interval=0.005)
+
+@pytest.fixture(autouse=True)
+def fast_supervision(monkeypatch):
+    """Tight supervision timings so fault tests finish in seconds: hang
+    detection after 0.8 s of heartbeat silence, near-immediate re-dispatch."""
+    for name, value in (("HEARTBEAT_INTERVAL", 0.05),
+                        ("HEARTBEAT_TIMEOUT", 0.8), ("SHARD_DEADLINE", 30.0),
+                        ("BACKOFF", 0.01), ("POLL_INTERVAL", 0.005)):
+        monkeypatch.setattr(parallel_module, name, value)
 
 
 @pytest.fixture(scope="module")
@@ -104,16 +110,7 @@ class TestShardPlan:
 
 
 class TestSupervisorConfig:
-    def test_validation(self):
-        with pytest.raises(FormulationError, match="max_attempts"):
-            SupervisorConfig(max_attempts=0)
-        with pytest.raises(FormulationError, match="heartbeat_timeout"):
-            SupervisorConfig(heartbeat_interval=1.0, heartbeat_timeout=0.5)
-
     def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
-        assert _default_workers() == 3
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "nonsense")
         assert _default_workers() == max(1, os.cpu_count() or 1)
         monkeypatch.setenv("REPRO_MP_START", "spawn")
         assert _start_method() == "spawn"
@@ -143,10 +140,10 @@ class TestCleanParallelRuns:
                                    on_failure="quarantine")
         single = parallel_ensemble_sweep(
             circuit, spec, FREQUENCIES, space, samples=48, seed=7,
-            shard_size=8, workers=1, config=FAST)
+            shard_size=8, workers=1)
         multi = parallel_ensemble_sweep(
             circuit, spec, FREQUENCIES, space, samples=48, seed=7,
-            shard_size=8, workers=3, config=FAST)
+            shard_size=8, workers=3)
         np.testing.assert_array_equal(single.responses, reference.responses)
         np.testing.assert_array_equal(multi.responses, reference.responses)
         np.testing.assert_array_equal(multi.values, reference.values)
@@ -188,11 +185,11 @@ class TestFaultRecovery:
         with ensemble_faults(numerical, ensemble_values=values):
             reference = parallel_ensemble_sweep(
                 circuit, spec, FREQUENCIES, space, values=values,
-                shard_size=8, workers=1, config=FAST)
+                shard_size=8, workers=1)
             with parallel_faults({1: ["kill"], 4: ["kill"], 2: ["hang"]}):
                 survivor = parallel_ensemble_sweep(
                     circuit, spec, FREQUENCIES, space, values=values,
-                    shard_size=8, workers=4, config=FAST)
+                    shard_size=8, workers=4)
         assert reference.report.quarantined == [3, 19]
         assert 41 in reference.report.recovered
         np.testing.assert_array_equal(survivor.responses,
@@ -213,11 +210,11 @@ class TestFaultRecovery:
             with pytest.raises(ShardFailureError) as excinfo:
                 parallel_ensemble_sweep(
                     circuit, spec, FREQUENCIES, space, samples=32, seed=5,
-                    shard_size=8, workers=2, config=FAST)
+                    shard_size=8, workers=2)
         error = excinfo.value
         assert error.shard == 2
         assert (error.start, error.stop) == (16, 24)
-        assert len(error.attempts) == FAST.max_attempts
+        assert len(error.attempts) == parallel_module.MAX_ATTEMPTS
         assert "samples 16:24" in str(error)
         assert all("injected crash" in step for step in error.attempts)
 
@@ -225,11 +222,11 @@ class TestFaultRecovery:
         circuit, spec, space = ladder
         reference = parallel_ensemble_sweep(
             circuit, spec, FREQUENCIES, space, samples=32, seed=5,
-            shard_size=8, workers=1, config=FAST)
+            shard_size=8, workers=1)
         with parallel_faults({0: ["crash"]}):        # attempt 1 only
             run = parallel_ensemble_sweep(
                 circuit, spec, FREQUENCIES, space, samples=32, seed=5,
-                shard_size=8, workers=2, config=FAST)
+                shard_size=8, workers=2)
         np.testing.assert_array_equal(run.responses, reference.responses)
         assert run.parallel.redispatches == 1
         assert any("uncaught worker exception" in step
@@ -242,8 +239,7 @@ class TestFaultRecovery:
             with pytest.raises(SingularMatrixError):
                 parallel_ensemble_sweep(
                     circuit, spec, FREQUENCIES, space, values=values,
-                    shard_size=8, workers=2, on_failure="raise",
-                    config=FAST)
+                    shard_size=8, workers=2, on_failure="raise")
 
     def test_worker_reports_merged_exactly_once(self, ladder):
         circuit, spec, space = ladder
@@ -252,14 +248,14 @@ class TestFaultRecovery:
                              ensemble_values=values):
             result = parallel_ensemble_sweep(
                 circuit, spec, FREQUENCIES, space, values=values,
-                shard_size=8, workers=2, config=FAST)
+                shard_size=8, workers=2)
         # One failure per quarantined (sample, frequency) solve.  Merged
         # exactly once: a double merge would record twice this, a dropped
         # report less.  The solves happened in child processes.
         assert len(result.report.failures) == 2 * len(FREQUENCIES)
         assert result.report.stage_counts["fast"] > 0
 
-    def test_spawned_workers_match_the_in_process_run(self):
+    def test_spawned_workers_match_the_in_process_run(self, monkeypatch):
         # Spawned workers share no memory with the supervisor: the circuit,
         # the values and each shard's SweepReport all cross the process
         # boundary by pickling.  A conductance of 0 leaves n1 on C1 alone,
@@ -272,15 +268,15 @@ class TestFaultRecovery:
         space = ParameterSpace(circuit)
         values = np.array([[1e-3], [0.0], [2e-3], [1.5e-3], [0.0], [1.2e-3]])
         frequencies = np.array([0.0, 1e3, 1e5])
-        runs = [parallel_ensemble_sweep(
-                    circuit, "n1", frequencies, space, values=values,
-                    shard_size=2, workers=workers, config=config)
-                for workers, config in (
-                    (1, None),
-                    (2, SupervisorConfig(start_method="spawn")))]
-        in_process, spawned = runs
+        in_process = parallel_ensemble_sweep(
+            circuit, "n1", frequencies, space, values=values, shard_size=2,
+            workers=1)
+        monkeypatch.setenv("REPRO_MP_START", "spawn")
+        spawned = parallel_ensemble_sweep(
+            circuit, "n1", frequencies, space, values=values, shard_size=2,
+            workers=2)
         assert spawned.parallel.workers == 2
-        for run in runs:
+        for run in (in_process, spawned):
             assert run.report.quarantined == [1, 4]
         np.testing.assert_array_equal(spawned.responses, in_process.responses)
         assert (report_to_json(spawned.report)
@@ -303,7 +299,7 @@ class TestCheckpointComposition:
         with parallel_faults({3: ["kill"]}):
             resumed = checkpointed_ensemble_sweep(
                 circuit, spec, FREQUENCIES, space, samples=40, seed=9,
-                shard_size=8, path=path, workers=2, supervisor=FAST)
+                shard_size=8, path=path, workers=2)
         assert resumed.finished and resumed.resumed_from == 16
         np.testing.assert_array_equal(resumed.ensemble.responses,
                                       sequential.ensemble.responses)
@@ -320,7 +316,7 @@ class TestCheckpointComposition:
             shard_size=8, path=str(tmp_path / "stream.npz"))
         parallel = parallel_ensemble_sweep(
             circuit, spec, FREQUENCIES, space, samples=40, seed=9,
-            shard_size=8, workers=2, config=FAST)
+            shard_size=8, workers=2)
         _statistics_equal(parallel.parallel.statistics,
                           checkpointed.statistics)
 
@@ -332,24 +328,24 @@ class TestRunShards:
         circuit, spec, space = ladder
         values = space.sample_values(40, seed=2)
         plan = shard_plan(40, 8)
+        fold = _EnsembleFold(FREQUENCIES, 40)
         prefixes = []
 
-        def observe(prefix, responses, reports, solver):
-            prefixes.append(prefix)
+        def observe():
+            prefixes.append(fold.completed)
             # Every row of the completed prefix is already written.
-            assert np.all(np.abs(responses[:plan[prefix - 1][2]]) > 0)
+            assert np.all(np.abs(fold.responses[:fold.completed]) > 0)
 
         run = run_shards(circuit, spec, FREQUENCIES, space, values, plan,
-                         workers=2, config=FAST, on_shard_complete=observe)
-        assert prefixes[-1] == len(plan)
-        assert prefixes == sorted(prefixes)
-        assert set(run.reports) == {shard for shard, _, __ in plan}
+                         workers=2, on_shard_complete=observe, fold=fold)
+        assert prefixes == [stop for _, __, stop in plan]
+        assert set(run.attempts) == {shard for shard, _, __ in plan}
 
     def test_workers_clamped_to_plan(self, ladder):
         circuit, spec, space = ladder
         values = space.sample_values(8, seed=2)
         run = run_shards(circuit, spec, FREQUENCIES, space, values,
-                         shard_plan(8, 8), workers=6, config=FAST)
+                         shard_plan(8, 8), workers=6)
         assert run.workers == 1          # one shard never needs six workers
 
 
@@ -383,7 +379,7 @@ class TestStreamingFaults:
                               4: ["hang"]}):
             survivor = parallel_ensemble_sweep(
                 circuit, spec, FREQUENCIES, space, values=values,
-                shard_size=8, workers=3, config=FAST,
+                shard_size=8, workers=3,
                 store_responses=False, weights=weights, yield_specs=specs)
         assert survivor.responses is None
         self._full_state_equal(survivor.statistics, reference.statistics)
@@ -413,8 +409,7 @@ class TestStreamingFaults:
         with parallel_faults({3: ["kill"]}):
             resumed = checkpointed_ensemble_sweep(
                 circuit, spec, FREQUENCIES, space, samples=40, seed=9,
-                shard_size=8, store_responses=False, path=path, workers=2,
-                supervisor=FAST)
+                shard_size=8, store_responses=False, path=path, workers=2)
         assert resumed.finished and resumed.resumed_from == 16
         assert resumed.ensemble.responses is None
         self._full_state_equal(resumed.statistics, straight.statistics)
@@ -434,8 +429,7 @@ class TestStreamingFaults:
                 shard_size=8)
             parallel = parallel_ensemble_sweep(
                 circuit, spec, FREQUENCIES, space, values=values,
-                shard_size=8, workers=2, config=FAST,
-                store_responses=False)
+                shard_size=8, workers=2, store_responses=False)
         assert sequential.statistics.count == 30
         self._full_state_equal(parallel.statistics, sequential.statistics)
         assert parallel.report.quarantined == [5, 20]

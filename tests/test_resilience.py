@@ -619,10 +619,7 @@ class TestSingularCircuitsAllEngines:
 
     @pytest.mark.parametrize("name,build,frequencies", CASES,
                              ids=[case[0] for case in CASES])
-    @pytest.mark.parametrize("ordering", ["markowitz", "amd"])
-    def test_sparse_engine_with_ordering(self, name, build, frequencies,
-                                         ordering, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARSE_ORDERING", ordering)
+    def test_sparse_engine(self, name, build, frequencies):
         system = build_mna_system(build())
         engine = SweepEngine(system, method="sparse")
         with pytest.raises(SingularMatrixError, match="singular"):
