@@ -7,11 +7,12 @@ sweep can either recover a failing point through progressively more careful
 factorizations or quarantine it with a precise, machine-readable report:
 
 * **fast** — the batched kernel the engine would have used anyway
-  (:func:`~repro.linalg.dense.batched_solve` on the dense path,
-  pivot-pattern refactorization on the sparse path);
-* **bitexact** — the scalar reference kernel (:func:`~repro.linalg.dense.dense_lu`,
-  or a fresh *ordered* sparse factorization), whose factors are the
-  batched kernel's bit-for-bit;
+  (:func:`~repro.linalg.dense.batched_solve` on the dense path; on the
+  sparse path the sweep engine's compiled refactorization chunks, with the
+  ordered pivot search it runs where a reused pivot degrades);
+* **bitexact** (dense only) — the scalar reference kernel
+  :func:`~repro.linalg.dense.dense_lu`, whose factors are the batched
+  kernel's bit-for-bit;
 * **fresh** (sparse only) — a full Markowitz pivot search, abandoning the
   fill-reducing order in favour of numerical safety;
 * **regularized** — factor ``A + εI`` as a last resort, then validate the
@@ -20,9 +21,9 @@ factorizations or quarantine it with a precise, machine-readable report:
   "solved".
 
 A stage is *accepted* only when its solution is finite and its scaled
-residual ``‖Ax − b‖∞ / (‖A‖₁·‖x‖∞ + ‖b‖∞)`` — after up to
-:data:`REFINEMENT_STEPS` rounds of iterative refinement — is at or below
-:data:`RESIDUAL_LIMIT`.  A solve accepted past the fast stage also gets a
+residual ``‖Ax − b‖∞ / (‖A‖₁·‖x‖∞ + ‖b‖∞)`` — past the fast stage, after
+up to :data:`REFINEMENT_STEPS` rounds of iterative refinement — is at or
+below :data:`RESIDUAL_LIMIT`.  A solve accepted past the fast stage also gets a
 1-norm condition estimate (Hager's method on the packed dense LU, probe
 vectors on the sparse factorization); above :data:`CONDITION_LIMIT` it flags
 the solution *degraded*: recorded, never silently dropped.  The chain and
@@ -41,7 +42,7 @@ import numpy as np
 
 from ..errors import SingularMatrixError, SolveFailureError
 from ..linalg.dense import DenseLU, batched_solve, dense_lu
-from ..linalg.lu import sparse_lu, sparse_lu_reusing
+from ..linalg.lu import sparse_lu
 
 __all__ = ["RESIDUAL_LIMIT", "CONDITION_LIMIT", "REFINEMENT_STEPS",
            "REGULARIZATION", "SolveDiagnostics", "EscalationRecord",
@@ -101,7 +102,7 @@ class SolveDiagnostics:
         Scaled residual of the accepted solution (``inf`` on failure).
     condition:
         1-norm condition estimate of the accepted factorization (``None``
-        for a solve accepted at the fast stage, which is not estimated).
+        when no stage was accepted).
     refinements:
         Iterative-refinement rounds actually applied (improving rounds only).
     degraded:
@@ -506,11 +507,11 @@ def _refine(factorization, matrix, x, b):
 
     Up to :data:`REFINEMENT_STEPS` rounds run, and only while the scaled
     residual is *above* :data:`RESIDUAL_LIMIT` — an already-acceptable
-    solution is returned untouched, so fast-path results keep their exact
-    bits.  ``factorization`` may be of a *regularized* neighbour of
-    ``matrix``: the residual is always measured against the original
-    system, so a shifted factorization either converges toward the true
-    solution or the stage is rejected honestly.
+    solution is returned untouched, so it keeps its kernel's exact bits.
+    ``factorization`` may be of a *regularized* neighbour of ``matrix``: the
+    residual is always measured against the original system, so a shifted
+    factorization either converges toward the true solution or the stage is
+    rejected honestly.
     Returns ``(x, residual, rounds_applied)``.
     """
     residual = scaled_residual(matrix, x, b)
@@ -570,11 +571,10 @@ def _attempt(stage, factor, matrix, rhs, escalations, estimate):
             stage, f"residual {residual:.3e} above limit "
             f"{RESIDUAL_LIMIT:.3e}"))
         return None
-    condition = None if stage == "fast" else estimate(factorization)
+    condition = estimate(factorization)
     return x, SolveDiagnostics(
         stage=stage, residual=residual, condition=condition,
-        refinements=applied,
-        degraded=condition is not None and condition > CONDITION_LIMIT,
+        refinements=applied, degraded=condition > CONDITION_LIMIT,
         escalations=tuple(escalations)), factorization
 
 
@@ -631,25 +631,20 @@ def resilient_dense_solve(matrix, rhs, escalations=()):
     return x, diagnostics
 
 
-def resilient_sparse_solve(matrix, rhs, pattern=None, column_order=None):
-    """Escalating solve of one sparse system, pattern-reuse aware.
+def resilient_sparse_solve(matrix, rhs, escalations=()):
+    """Escalating scalar solve of one sparse system ``A x = b``.
 
-    The full chain: ``fast`` (pivot-pattern refactorization via
-    :func:`~repro.linalg.lu.sparse_lu_reusing`) → ``bitexact`` (fresh ordered
-    factorization — recorded explicitly here, where the legacy path fell back
-    silently) → ``fresh`` (full Markowitz pivot search, abandoning the
-    fill-reducing order) → ``regularized`` (``A + εI`` validated against the
-    original ``A``).
-
-    Returns ``(x, SolveDiagnostics, pattern)`` where ``pattern`` is the pivot
-    pattern to reuse for the next point — the incoming one when the reuse
-    succeeded, the fresh factorization when one was computed, and the
-    incoming one unchanged after a regularized solve (a shifted pivot order
-    must not poison subsequent points).  Raises :class:`SolveFailureError`
-    when every stage is rejected.
+    The chain past the fast stage (the sweep engine's compiled chunk):
+    ``fresh`` (a full Markowitz pivot search, abandoning the fill-reducing
+    order) then ``regularized`` (``A + εI``, validated against the original
+    ``A``).  Callers pass the fast stage's :class:`EscalationRecord` in
+    ``escalations``; a non-finite system is refused before any stage, with
+    no records.  Returns ``(x, SolveDiagnostics, pattern)``: ``pattern`` is
+    the accepted ``fresh`` factorization, or ``None`` after a regularized
+    solve (a shifted pivot order must not poison the next points).  Raises
+    :class:`SolveFailureError` when every stage is rejected.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    escalations: List[EscalationRecord] = []
     values = np.array([value for __, __, value in matrix.entries()],
                       dtype=complex)
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(rhs))):
@@ -658,50 +653,37 @@ def resilient_sparse_solve(matrix, rhs, pattern=None, column_order=None):
             dimension=matrix.n_rows, stage="fast",
             diagnostics=SolveDiagnostics(
                 stage="fast", residual=float("inf")))
+    escalations = list(escalations)
 
     def estimate(factorization):
         return sparse_condition_estimate(factorization, matrix)
-
-    # Stages: fast (pattern reuse) / bitexact (fresh ordered).
-    next_pattern = pattern
-    try:
-        factorization, next_pattern, refactored = sparse_lu_reusing(
-            matrix, pattern, column_order=column_order)
-    except SingularMatrixError as error:
-        escalations.append(EscalationRecord("fast", str(error)))
-    else:
-        stage = "fast"
-        if pattern is not None and not refactored:
-            # The silent legacy fallback, made visible.
-            escalations.append(EscalationRecord(
-                "fast", "reused pivot order rejected; "
-                "fresh ordered factorization"))
-            stage = "bitexact"
-        accepted = _attempt(stage, lambda: factorization, matrix, rhs,
-                            escalations, estimate)
-        if accepted is not None:
-            x, diagnostics, __ = accepted
-            return x, diagnostics, next_pattern
-
-    # Stage: fresh (full Markowitz search; skip when it would repeat the
-    # factorization that just failed — no order, no reusable pattern).  Its
-    # factorization becomes the pattern for the next point.
-    if column_order is not None or pattern is not None:
-        accepted = _attempt("fresh", lambda: sparse_lu(matrix), matrix, rhs,
-                            escalations, estimate)
-        if accepted is not None:
-            return accepted
 
     def regularized():
         shift = REGULARIZATION * max(_matrix_one_norm(matrix), 1.0)
         return sparse_lu(matrix.diagonally_shifted(shift))
 
-    accepted = _attempt("regularized", regularized, matrix, rhs, escalations,
-                        estimate)
+    accepted = (_attempt("fresh", lambda: sparse_lu(matrix), matrix, rhs,
+                         escalations, estimate)
+                or _attempt("regularized", regularized, matrix, rhs,
+                            escalations, estimate))
     if accepted is None:
         raise _exhausted(matrix.n_rows, escalations)
-    x, diagnostics, __ = accepted
-    return x, diagnostics, next_pattern
+    x, diagnostics, factorization = accepted
+    return x, diagnostics, (factorization if diagnostics.stage == "fresh"
+                            else None)
+
+
+def _escalate(report, index, description, solve):
+    """Run one resilient ``solve()`` and record its recovery or failure;
+    returns the solve's result, or ``None`` when quarantined."""
+    try:
+        result = solve()
+    except SolveFailureError as error:
+        report.record_failure(index, description, str(error),
+                              error.diagnostics.escalations)
+        return None
+    report.record_recovery(index, result[1])
+    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -709,19 +691,50 @@ def resilient_sparse_solve(matrix, rhs, pattern=None, column_order=None):
 # --------------------------------------------------------------------------- #
 
 
-def _stack_residuals(stack, solutions, rhs_stack) -> np.ndarray:
-    """Vectorized :func:`scaled_residual` over a ``(B, n, n)`` stack."""
-    residual = np.einsum("bij,bj->bi", stack, solutions) - rhs_stack
-    numerator = np.abs(residual).max(axis=1)
-    anorm = np.abs(stack).sum(axis=1).max(axis=1)
+def _scaled_residuals(defect, anorm, solutions, rhs_stack) -> np.ndarray:
+    """:func:`scaled_residual` per member from its defect ``Ax − b`` and
+    ``‖A‖₁``: ``‖Ax − b‖∞ / (‖A‖₁·‖x‖∞ + ‖b‖∞)``, with NaN scoring ``inf``."""
+    numerator = np.abs(defect).max(axis=1)
     denominator = (anorm * np.abs(solutions).max(axis=1)
                    + np.abs(rhs_stack).max(axis=1))
     with np.errstate(invalid="ignore", divide="ignore"):
         scaled = np.where(denominator == 0.0,
                           np.where(numerator == 0.0, 0.0, np.inf),
                           numerator / denominator)
-    scaled = np.where(np.isnan(scaled), np.inf, scaled)
-    return scaled
+    return np.where(np.isnan(scaled), np.inf, scaled)
+
+
+def _entry_residuals(keys, values, solutions, rhs) -> np.ndarray:
+    """Vectorized :func:`scaled_residual` over a chunk of sparse members.
+
+    Member ``b`` is the matrix holding ``values[b, e]`` at ``keys[e]``;
+    ``solutions`` is ``(B, n)`` and ``rhs`` one shared right-hand side.  A
+    member whose solution has a non-finite entry scores ``inf``.  The sums
+    are grouped differently from the scalar metric's, so scores agree with
+    it to rounding, not bitwise.
+    """
+    rows, cols = np.asarray(keys, dtype=np.intp).reshape(-1, 2).T
+    batch, n = solutions.shape
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[:, order]
+    finite = np.all(np.isfinite(solutions), axis=1)
+    if not finite.all():
+        solutions = np.where(finite[:, None], solutions, 0.0)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    rhs_stack = np.broadcast_to(rhs, solutions.shape)
+    with np.errstate(invalid="ignore"):
+        sums = np.add.reduceat(values * solutions[:, cols], starts, axis=1)
+        products = sums
+        if len(starts) < n:  # some rows store no value
+            products = np.zeros_like(solutions)
+            products[:, rows[starts]] = sums
+        flat = (cols + n * np.arange(batch)[:, None]).ravel()
+        column_sums = np.bincount(flat, np.abs(values).ravel(), batch * n)
+        scaled = _scaled_residuals(
+            products - rhs_stack, column_sums.reshape(batch, n).max(axis=1),
+            solutions, rhs_stack)
+    return np.where(finite, scaled, np.inf)
 
 
 def solve_stack_resilient(stack, rhs, report, indexer) -> np.ndarray:
@@ -773,16 +786,16 @@ def solve_stack_resilient(stack, rhs, report, indexer) -> np.ndarray:
                     singular[member] = True
 
     finite = np.all(np.isfinite(solutions), axis=1)
+    checked = np.where(finite[:, None], solutions, 0.0)
     with np.errstate(invalid="ignore"):
-        residuals = _stack_residuals(stack, np.where(finite[:, None],
-                                                     solutions, 0.0),
-                                     rhs_stack)
+        residuals = _scaled_residuals(
+            np.einsum("bij,bj->bi", stack, checked) - rhs_stack,
+            np.abs(stack).sum(axis=1).max(axis=1), checked, rhs_stack)
     failing = singular | ~finite | (residuals > RESIDUAL_LIMIT)
     report.record_fast(int(batch - failing.sum()))
 
     for member in np.flatnonzero(failing):
         member = int(member)
-        index, description = indexer(member)
         if singular[member]:
             reason = "fast batched factorization flagged the matrix singular"
         elif not finite[member]:
@@ -790,18 +803,8 @@ def solve_stack_resilient(stack, rhs, report, indexer) -> np.ndarray:
         else:
             reason = (f"fast batched residual {residuals[member]:.3e} "
                       f"above limit {RESIDUAL_LIMIT:.3e}")
-        fast_record = EscalationRecord("fast", reason)
-        try:
-            x, diagnostics = resilient_dense_solve(
-                stack[member], rhs_stack[member], escalations=(fast_record,))
-        except SolveFailureError as error:
-            solutions[member] = np.nan
-            diagnostics = error.diagnostics
-            report.record_failure(
-                index, description, str(error),
-                diagnostics.escalations if diagnostics is not None
-                else (fast_record,))
-        else:
-            solutions[member] = x
-            report.record_recovery(index, diagnostics)
+        escalated = _escalate(report, *indexer(member), lambda: (
+            resilient_dense_solve(stack[member], rhs_stack[member],
+                                  (EscalationRecord("fast", reason),))))
+        solutions[member] = np.nan if escalated is None else escalated[0]
     return solutions

@@ -19,7 +19,9 @@ owns the whole strategy:
   and every other point is refactored by it, vectorized over chunks of
   points sized by the schedule's memory model; a point whose reused pivot
   degrades gets a fresh ordered factorization, which becomes the pattern
-  for the points after it.
+  for the points after it.  A resilient sparse sweep runs the same chunks
+  as the fast stage of :mod:`repro.engine.resilience` and escalates only
+  the points whose residual they fail.
 
 :class:`SweepEngine` streams factors (factor, use, discard — the memory-light
 shape of ``ac_sweep``); :class:`SweepFactors` keeps them (the shape of
@@ -36,14 +38,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import (FormulationError, SingularMatrixError,
-                      SolveFailureError)
+from ..errors import FormulationError, SingularMatrixError
 from ..linalg.config import dense_cutoff, use_dense
 from ..linalg.dense import batched_dense_lu, sweep_chunk_size
 from ..linalg.lu import sparse_lu_reusing
 from ..linalg.ordering import fill_reducing_order
 from ..linalg.sparse import SparseMatrix
-from .resilience import resilient_sparse_solve
+from .resilience import (RESIDUAL_LIMIT, EscalationRecord, _entry_residuals,
+                         _escalate, resilient_sparse_solve)
 
 __all__ = ["SweepEngine", "SweepFactors"]
 
@@ -208,15 +210,85 @@ class SweepEngine:
                 _SPARSE_CHUNK_BYTES)]
             chunk = schedule.factor(base + block[:, None] * dynamic, slots)
             healthy = chunk.healthy_prefix()
-            if healthy < len(block):
-                chunk = chunk.head(healthy)
-                self._sparse_pattern = None
             if healthy:
                 self.refactorization_count += healthy
-                yield start, chunk
+                yield start, chunk.head(healthy)
                 start += healthy
+            if healthy < len(block):
+                # Dropped only now, so an escalating sweep keeps it.
+                self._sparse_pattern = None
             # Hold no chunk while the next one is factored.
             del chunk
+
+    def _sparse_solutions(self, keys, base, dynamic, factors, rhs,
+                          report=None, indexer=None):
+        """Yield ``(start, x)``: ``base + factors[k]·dynamic`` solved for
+        ``rhs``, ``x`` stacking points ``start, start + 1, …``.
+
+        The one sparse solve loop.  Without a ``report`` a singular pivot
+        search raises.  With one, each chunk of :meth:`_sparse_chunks` is
+        the escalation chain's fast stage: its members are accepted in order
+        while finite with a scaled residual within
+        :data:`~repro.engine.resilience.RESIDUAL_LIMIT`.  The first member
+        that fails, or a pivot search that raises, goes alone through
+        :func:`~repro.engine.resilience.resilient_sparse_solve` (a ``fresh``
+        factorization it accepts becomes the pattern) and the sweep resumes
+        after it.  ``indexer(k)`` gives point ``k``'s ``(report index,
+        description)``; an unrecoverable point yields a NaN row.
+        """
+        if report is None:
+            for start, chunk in self._sparse_chunks(keys, base, dynamic,
+                                                    factors):
+                yield start, chunk.solve(rhs)
+                del chunk
+            return
+        n = self.formulation.dimension
+        start = 0
+        while start < len(factors):
+            point = start
+            try:
+                for offset, chunk in self._sparse_chunks(
+                        keys, base, dynamic, factors[start:]):
+                    point = start + offset
+                    # Keep a non-finite member's NaN arithmetic from warning.
+                    with np.errstate(invalid="ignore"):
+                        x = chunk.solve(rhs)
+                        scores = _entry_residuals(keys, base + factors[
+                            point:point + len(x), None] * dynamic, x, rhs)
+                    failing = np.flatnonzero(scores > RESIDUAL_LIMIT)
+                    accepted = int(failing[0]) if failing.size else len(x)
+                    if (accepted < len(x)
+                            and not isinstance(chunk, _PivotSearchPoint)):
+                        # The resumed loop serves the members after it.
+                        self.refactorization_count -= len(x) - accepted
+                    del chunk
+                    if accepted:
+                        report.record_fast(accepted)
+                        yield point, x[:accepted]
+                    point += accepted
+                    if accepted < len(x):
+                        reason = (f"fast sparse residual {scores[accepted]:.3e}"
+                                  f" above limit {RESIDUAL_LIMIT:.3e}")
+                        break
+                else:
+                    return
+            except SingularMatrixError as error:
+                # Only the pivot search raises, at the first point not yet
+                # served.
+                reason = str(error)
+            matrix = SparseMatrix.from_entries(n, n, zip(
+                keys, (base + factors[point] * dynamic).tolist()))
+            self.factorization_count += 1
+            escalated = _escalate(report, *indexer(point), lambda: (
+                resilient_sparse_solve(matrix, rhs,
+                                       (EscalationRecord("fast", reason),))))
+            if escalated is None:
+                yield point, np.full((1, n), np.nan, dtype=complex)
+            else:
+                if escalated[2] is not None:
+                    self._sparse_pattern = escalated[2]
+                yield point, escalated[0][None, :]
+            start = point + 1
 
     def _schedule(self, keys):
         """The pattern's compiled schedule and the slots of ``keys`` in it."""
@@ -249,51 +321,6 @@ class SweepEngine:
                 factorization.solve(rhs))
             del factorization
         return solutions
-
-    def _resilient_sparse_points(self, keys, base, dynamic, factors, rhs,
-                                 report, indexer):
-        """Yield ``(k, x)``: ``base + factors[k]·dynamic`` solved resiliently.
-
-        The per-point resilient twin of :meth:`_sparse_chunks`, behind the
-        sparse ensemble's quarantine mode: each point goes through
-        :func:`~repro.engine.resilience.resilient_sparse_solve` along the
-        engine's pivot pattern.  ``indexer(k)`` gives the point's
-        ``(report index, description)``.  An unrecoverable point is
-        recorded in ``report`` and yields NaN.
-        """
-        n = self.formulation.dimension
-        order = self.column_order()
-        for k, factor in enumerate(factors):
-            values = base + factor * dynamic
-            matrix = SparseMatrix.from_entries(n, n,
-                                               zip(keys, values.tolist()))
-            index, description = indexer(k)
-            yield k, self._resilient_sparse_point(
-                matrix, rhs, report, index, description, order)
-
-    def _resilient_sparse_point(self, matrix, rhs, report, index,
-                                description, order):
-        """One resilient sparse solve, with engine counter / report upkeep."""
-        had_pattern = self._sparse_pattern is not None
-        try:
-            x, diagnostics, self._sparse_pattern = resilient_sparse_solve(
-                matrix, rhs, self._sparse_pattern, order)
-        except SolveFailureError as error:
-            self.factorization_count += 1
-            escalations = (error.diagnostics.escalations
-                           if error.diagnostics is not None else ())
-            report.record_failure(index, description, str(error), escalations)
-            return np.nan
-        if diagnostics.stage == "fast":
-            if had_pattern:
-                self.refactorization_count += 1
-            else:
-                self.factorization_count += 1
-            report.record_fast()
-        else:
-            self.factorization_count += 1
-            report.record_recovery(index, diagnostics)
-        return x
 
     def factor_sweep(self, s, conductance_scale=1.0,
                      frequency_scale=1.0) -> "SweepFactors":

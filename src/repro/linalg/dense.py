@@ -36,15 +36,6 @@ def sweep_chunk_size(dimension) -> int:
     dimension = max(1, int(dimension))
     return max(1, _SWEEP_CHUNK_ELEMENTS // (dimension * dimension))
 
-#: Powers of ten built with Python's scalar pow, which numpy's vectorized
-#: ``10.0**x`` does not always match to the last ulp.  The batched determinant
-#: renormalization indexes this table so that batched and per-point sweeps
-#: stay bit-for-bit identical.  Single-step shifts cannot leave ±308 (one
-#: pivot times a normalized mantissa is a finite double).
-_POW10_OFFSET = 330
-_POW10 = np.array([10.0**e if e <= 308 else math.inf
-                   for e in range(-_POW10_OFFSET, _POW10_OFFSET + 1)])
-
 
 class DenseLU(TrackedDeterminant):
     """Result of :func:`dense_lu`: packed LU factors plus the row permutation."""
@@ -170,36 +161,11 @@ class BatchedDenseLU:
         ones :func:`dense_lu` computes, so driving the scalar determinant /
         solve code through this view reproduces the per-point results exactly
         — numpy's vectorized ufuncs round complex multiplies differently from
-        the scalar operations, which is why the batched
-        :meth:`determinants_mantissa_exponent` / :meth:`solve` agree with the
-        per-point path only to rounding, not to the bit.
+        the scalar operations, which is why the batched :meth:`solve` agrees
+        with the per-point path only to rounding, not to the bit.
         """
         return DenseLU(self.lu[index], self.permutations[index],
                        int(self.swap_parity[index]))
-
-    def determinants_mantissa_exponent(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-matrix ``det(A)`` as ``(mantissas, exponents)`` arrays.
-
-        Mantissas are complex with magnitude normalized into ``[1, 10)`` (or
-        exactly 0 for singular matrices); exponents are decimal.  The pivots
-        are multiplied in the same order, with the same per-step
-        renormalization, as :meth:`DenseLU.determinant_mantissa_exponent`.
-        """
-        mantissa = np.where(self.swap_parity % 2 == 1, -1.0, 1.0).astype(complex)
-        exponent = np.zeros(self.batch, dtype=np.int64)
-        dead = self.singular.copy()
-        for k in range(self.n):
-            mantissa = mantissa * self.lu[:, k, k]
-            dead |= mantissa == 0
-            magnitude = np.abs(np.where(dead, 1.0, mantissa))
-            shift = np.floor(np.log10(magnitude)).astype(np.int64)
-            mantissa = np.where(shift != 0,
-                                mantissa / _POW10[shift + _POW10_OFFSET],
-                                mantissa)
-            exponent += shift
-        mantissa = np.where(dead, 0.0 + 0.0j, mantissa)
-        exponent = np.where(dead, 0, exponent)
-        return mantissa, exponent
 
     def solve(self, rhs):
         """Solve ``A_b x_b = b_b`` for every matrix of the stack.

@@ -15,8 +15,9 @@ batched solves instead of M independent circuit rebuilds:
 * above the dense cutoff each sample's value vectors go through a
   :class:`~repro.engine.sweep.SweepEngine` over the nominal MNA system: a
   fresh pivot search per sample, then the engine's compiled refactorization
-  across the frequency axis (its per-point escalation loop on a resilient
-  run), bit-identical to the rebuild-per-sample path.
+  across the frequency axis, bit-identical to the rebuild-per-sample path.
+  A resilient run checks each compiled chunk and escalates only the
+  members that fail, so it returns the stored run's bits when none does.
 
 :func:`rebuild_sweep` is the M-independent-rebuilds reference the engine is
 benchmarked and parity-checked against: one circuit copy + MNA build + AC
@@ -327,10 +328,11 @@ def _sparse_ensemble(engine, program, s, values, terms,
     along its own pivot order across the frequency axis, in the engine's
     compiled chunks.  Pivot choices are value-dependent through the
     threshold test, so sharing one pattern across samples would break
-    bit-parity with :func:`rebuild_sweep`.  A resilient run (one with a
-    ``report``) solves point by point through the engine's escalation loop
-    and stops a sample at its first unrecoverable point; otherwise a
-    singular member raises, naming the sample and the point.
+    bit-parity with :func:`rebuild_sweep`.  Both failure modes run the
+    engine's one sparse solve loop.  A resilient run (one with a ``report``)
+    escalates only the members its chunks fail and stops a sample at its
+    first unrecoverable point; otherwise a singular member raises, naming
+    the sample and the point.
     """
     constant_keys, constant_values, dynamic_keys, dynamic_values = (
         program.sparse_values(values))
@@ -344,34 +346,28 @@ def _sparse_ensemble(engine, program, s, values, terms,
 
     rhs = engine.formulation.rhs
     responses = np.zeros((num_samples, len(s)), dtype=complex)
+    failures = [] if report is None else report.failures
     for sample in range(num_samples):
         engine._sparse_pattern = None
         solutions = np.zeros((len(s), engine.dimension), dtype=complex)
-        if report is None:
-            point = 0
-            try:
-                for start, chunk in engine._sparse_chunks(
-                        keys, base[sample], dynamic[sample], s):
-                    solutions[start:start + chunk.batch] = chunk.solve(rhs)
-                    point = start + chunk.batch
-                    del chunk
-            except SingularMatrixError as error:
-                # Only the pivot search raises, at the first point not yet
-                # served.
-                raise _member_error(
-                    f"ensemble member {{member}} at sweep point {point} "
-                    "is singular", sample) from error
-        else:
-            before = len(report.failures)
-            for k, solution in engine._resilient_sparse_points(
-                    keys, base[sample], dynamic[sample], s, rhs,
-                    report, lambda k, sample=sample: (
+        known, point = len(failures), 0
+        try:
+            for start, x in engine._sparse_solutions(
+                    keys, base[sample], dynamic[sample], s, rhs, report,
+                    lambda k, sample=sample: (
                         sample,
                         f"ensemble member {sample} at sweep point {k}")):
-                if len(report.failures) > before:
-                    # ensemble_sweep masks or raises the whole sample.
+                if len(failures) > known:
+                    # ensemble_sweep masks the whole sample.
                     break
-                solutions[k] = solution
+                solutions[start:start + len(x)] = x
+                point = start + len(x)
+        except SingularMatrixError as error:
+            # Only a raise-mode pivot search raises, at the first point not
+            # yet served.
+            raise _member_error(
+                f"ensemble member {{member}} at sweep point {point} "
+                "is singular", sample) from error
         responses[sample] = _project_output(terms, solutions)
     return responses
 

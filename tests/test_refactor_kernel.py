@@ -12,7 +12,8 @@
 * **degraded members** — a zero or 1e-8-weak reused pivot is flagged; the
   sweep engine factors that point freshly (counted, identical to the oracle)
   and continues with the fresh pattern, the rule of the per-point
-  ``sparse_lu_reusing``;
+  ``sparse_lu_reusing``; a resilient sweep counts that pivot search on the
+  fast stage;
 * a matrix with an entry outside the compiled structure is **rejected**.
 """
 
@@ -26,6 +27,7 @@ from strategies import random_sparse_topology
 import repro.engine.sweep as sweep_module
 from repro.circuits.generators import build_generator
 from repro.engine.formulation import FormulationBase
+from repro.engine.resilience import SweepReport
 from repro.engine.sweep import SweepEngine
 from repro.errors import LinAlgError, SingularMatrixError
 from repro.linalg.lu import (LUFactorization, sparse_lu, sparse_lu_refactor,
@@ -226,6 +228,26 @@ def test_degraded_member_refactors_freshly(monkeypatch, degraded_point,
             column_order=order)
         assert refactored == (k not in (0, 2))
         assert np.array_equal(factorization.solve(_RHS), solutions[k])
+
+
+def test_resilient_sweep_serves_degraded_pivot_on_fast_stage(monkeypatch):
+    # The ordered pivot search the engine runs at the degraded point 2 is
+    # part of the fast stage: no recovery is recorded, and every solution
+    # keeps the raise-mode loop's bits.
+    s = np.array([3.0, 2.0, 1.0, 4.0, 5.0, 6.0, 7.0], dtype=complex)
+    keys, constant, dynamic = _PENCIL.merged_sparse_structure()
+    monkeypatch.setattr(sweep_module, "fill_reducing_order",
+                        lambda n, keys: list(range(n)))
+    expected = SweepEngine(_PENCIL, method="sparse").solve_sweep(s, _RHS)
+    report = SweepReport(total=len(s))
+    solutions = np.empty_like(expected)
+    for start, x in SweepEngine(_PENCIL, method="sparse")._sparse_solutions(
+            keys, constant, dynamic, s, _RHS, report,
+            lambda k: (k, f"sweep point {k}")):
+        solutions[start:start + len(x)] = x
+    assert report.stage_counts["fast"] == len(s)
+    assert report.recoveries == [] and report.failures == []
+    assert np.array_equal(solutions, expected)
 
 
 def _dense(keys, values, n):

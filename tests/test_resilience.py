@@ -23,6 +23,7 @@ import pytest
 
 from faults import ensemble_faults, failing_kernel
 
+import repro.engine.sweep as sweep_module
 from repro.analysis.montecarlo import (MonteCarloResult, YieldSpec,
                                        monte_carlo_analysis,
                                        variance_attribution, yield_analysis)
@@ -31,8 +32,9 @@ from repro.circuits import build_ua741
 from repro.circuits.rc_ladder import build_rc_ladder
 from repro.engine.resilience import (CONDITION_LIMIT, REFINEMENT_STEPS,
                                      REGULARIZATION, RESIDUAL_LIMIT,
-                                     SweepReport, resilient_dense_solve,
-                                     resilient_sparse_solve,
+                                     SweepReport, _entry_residuals,
+                                     resilient_dense_solve,
+                                     resilient_sparse_solve, scaled_residual,
                                      solve_stack_resilient)
 from repro.engine.session import AnalysisSession
 from repro.engine.sweep import SweepEngine
@@ -179,7 +181,7 @@ class TestResilientDenseSolve:
 
 
 class TestResilientSparseSolve:
-    """The sparse chain: fast → bitexact → fresh → regularized."""
+    """The sparse chain past the engine's fast stage: fresh → regularized."""
 
     def _singular_matrix(self):
         # diag(1, 1, 0): exactly singular, zero last pivot.
@@ -200,15 +202,55 @@ class TestResilientSparseSolve:
         with pytest.raises(SolveFailureError) as excinfo:
             resilient_sparse_solve(matrix, rhs)
         stages = [r.stage for r in excinfo.value.diagnostics.escalations]
-        assert "fast" in stages and "regularized" in stages
+        assert stages == ["fresh", "regularized"]
+
+
+class TestEntryResiduals:
+    """The sparse fast stage's vectorized residual against the scalar one."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_scaled_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 41))
+        members = int(rng.integers(1, 6))
+        cells = rng.choice(n * n, size=int(rng.integers(n, 3 * n + 1)),
+                           replace=False)
+        keys = [(int(cell) // n, int(cell) % n) for cell in cells]
+
+        def draw(shape):
+            magnitude = 10.0 ** rng.uniform(-6.0, 6.0, size=shape)
+            return magnitude * (rng.normal(size=shape)
+                                + 1j * rng.normal(size=shape))
+
+        values = draw((members, len(keys)))
+        values[rng.random(values.shape) < 0.15] = 0.0
+        solutions = draw((members, n))
+        rhs = draw(n)
+        scores = _entry_residuals(keys, values, solutions, rhs)
+        for member in range(members):
+            matrix = SparseMatrix.from_entries(
+                n, n, zip(keys, values[member].tolist()))
+            assert scores[member] == pytest.approx(
+                scaled_residual(matrix, solutions[member], rhs), rel=1e-12)
+
+    def test_non_finite_solution_scores_inf(self):
+        # Column 2 holds no stored value, so only the finiteness check can
+        # see the infinity of the second member.
+        keys = [(1, 0), (0, 0), (1, 1)]
+        values = np.ones((3, len(keys)), dtype=complex)
+        solutions = np.ones((3, 3), dtype=complex)
+        solutions[0, 0] = np.nan
+        solutions[1, 2] = np.inf
+        scores = _entry_residuals(keys, values, solutions, np.ones(3))
+        assert np.isinf(scores[:2]).all()
+        assert np.isfinite(scores[2])
 
 
 def _resilient_sweep(system, s, method):
     """Solve ``system`` at every point of ``s`` through the escalation chain.
 
     Dense: one :func:`solve_stack_resilient` call on the assembled stack.
-    Sparse: :func:`resilient_sparse_solve` point by point, carrying one
-    pivot pattern along the sweep in the sweep engine's elimination order.
+    Sparse: the sweep engine's one sparse solve loop with a report.
     Returns ``(solutions, report)``; quarantined points' rows are NaN.
     """
     report = SweepReport(kind="sweep point", total=len(s))
@@ -220,26 +262,11 @@ def _resilient_sweep(system, s, method):
         solutions = solve_stack_resilient(system.assemble_batch(s),
                                           system.rhs, report, describe)
         return solutions, report
-    n = system.dimension
     keys, constant, dynamic = system.merged_sparse_structure()
-    order = SweepEngine(system, method="sparse").column_order()
-    solutions = np.full((len(s), n), np.nan, dtype=complex)
-    pattern = None
-    for point in range(len(s)):
-        matrix = SparseMatrix.from_entries(
-            n, n, zip(keys, (constant + s[point] * dynamic).tolist()))
-        index, description = describe(point)
-        try:
-            solutions[point], diagnostics, pattern = resilient_sparse_solve(
-                matrix, system.rhs, pattern, order)
-        except SolveFailureError as error:
-            report.record_failure(index, description, str(error),
-                                  error.diagnostics.escalations)
-            continue
-        if diagnostics.stage == "fast":
-            report.record_fast()
-        else:
-            report.record_recovery(index, diagnostics)
+    solutions = np.empty((len(s), system.dimension), dtype=complex)
+    for start, x in SweepEngine(system, method="sparse")._sparse_solutions(
+            keys, constant, dynamic, s, system.rhs, report, describe):
+        solutions[start:start + len(x)] = x
     return solutions, report
 
 
@@ -384,6 +411,29 @@ class TestEnsembleQuarantine:
         mask = faulted.surviving_mask()
         assert mask.sum() == 6
         assert np.array_equal(faulted.responses[mask], clean.responses[mask])
+
+    def test_sparse_quarantine_escalates_only_failing_points(
+            self, ladder, monkeypatch):
+        # The compiled chunks are the fast stage: a clean quarantined run
+        # escalates nothing, and a NaN sample escalates its first point
+        # alone before it is quarantined.
+        circuit, spec, space = ladder
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return resilient_sparse_solve(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "resilient_sparse_solve", counting)
+        options = dict(samples=8, seed=3, method="sparse",
+                       on_failure="quarantine")
+        ensemble_sweep(circuit, spec, FREQUENCIES, space, **options)
+        assert calls == []
+        with ensemble_faults({2: "nan", 5: "nan"}):
+            faulted = ensemble_sweep(circuit, spec, FREQUENCIES, space,
+                                     **options)
+        assert len(calls) == 2
+        assert faulted.report.quarantined == [2, 5]
 
     def test_all_quarantined_statistics_refuse(self, ua741):
         circuit, spec, space = ua741
