@@ -1,14 +1,16 @@
-"""E7 — batched frequency-sweep engine vs the per-point sampling path.
+"""E7 — batched frequency-sweep engine vs point-by-point sampling.
 
 The paper's premise is that numerical reference generation must stay cheap
 for *large* circuits; the batch engine attacks the dominant cost — one
 assemble + LU per interpolation point — by assembling the ``G`` / ``C`` parts
 once per sweep and sharing the factorization structure across every point.
+The per-point arm runs one one-point engine sweep per point
+(``NetworkFunctionSampler.sample``), paying the sweep's setup every time.
 
 Asserted here (the PR 1 acceptance criteria):
 
-* a 200-point µA741 sweep runs at least 2x faster through the batch engine,
-* the batched transfer values deviate from the per-point path by at most
+* a 200-point µA741 sweep runs at least 2x faster as one batched sweep,
+* the batched transfer values deviate from the per-point arm by at most
   1e-9 relative (they are in fact bit-for-bit identical on the dense path).
 
 Run standalone for the full experiment table::
@@ -40,7 +42,7 @@ def test_batch_sweep_ua741_speedup(benchmark, ua741_admittance):
 
 @pytest.mark.benchmark(group="batch-sweep")
 def test_batch_sweep_pointwise_cost(benchmark, ua741_admittance):
-    """Baseline: the original one-matrix-at-a-time path (200 points)."""
+    """Baseline: one one-point sweep per point (200 points)."""
     circuit, spec = ua741_admittance
     sampler = NetworkFunctionSampler(circuit, spec)
     points = (2j * np.pi * np.logspace(0, 8, 200)).tolist()

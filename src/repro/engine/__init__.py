@@ -29,7 +29,7 @@ conditions".  This package owns that machinery once, for every formulation:
 
 from .formulation import Formulation, FormulationBase
 from .resilience import (SolveDiagnostics, SweepReport,
-                         resilient_dense_solve, resilient_sparse_solve)
+                         resilient_sparse_solve)
 from .session import AnalysisSession
 from .sweep import SweepEngine, SweepFactors
 
@@ -41,6 +41,5 @@ __all__ = [
     "AnalysisSession",
     "SolveDiagnostics",
     "SweepReport",
-    "resilient_dense_solve",
     "resilient_sparse_solve",
 ]

@@ -10,27 +10,28 @@ factorizations or quarantine it with a precise, machine-readable report:
   (:func:`~repro.linalg.dense.batched_solve` on the dense path; on the
   sparse path the sweep engine's compiled refactorization chunks, with the
   ordered pivot search it runs where a reused pivot degrades);
-* **bitexact** (dense only) — the scalar reference kernel
-  :func:`~repro.linalg.dense.dense_lu`, whose factors are the batched
-  kernel's bit-for-bit;
-* **fresh** (sparse only) — a full Markowitz pivot search, abandoning the
+* **fresh** — a full Markowitz pivot search of the failing system alone
+  (:func:`~repro.linalg.lu.sparse_lu`; a dense member is converted with
+  :meth:`~repro.linalg.sparse.SparseMatrix.from_dense`), abandoning the
   fill-reducing order in favour of numerical safety;
 * **regularized** — factor ``A + εI`` as a last resort, then validate the
   solution against the **original** ``A``: an exactly singular system still
   fails its residual test here and is quarantined rather than silently
   "solved".
 
-A stage is *accepted* only when its solution is finite and its scaled
-residual ``‖Ax − b‖∞ / (‖A‖₁·‖x‖∞ + ‖b‖∞)`` — past the fast stage, after
-up to :data:`REFINEMENT_STEPS` rounds of iterative refinement — is at or
-below :data:`RESIDUAL_LIMIT`.  A solve accepted past the fast stage also gets a
-1-norm condition estimate (Hager's method on the packed dense LU, probe
-vectors on the sparse factorization); above :data:`CONDITION_LIMIT` it flags
-the solution *degraded*: recorded, never silently dropped.  The chain and
-its four constants are fixed, so a run's ``on_failure`` mode is its whole
-resilience configuration.  Every escalation is recorded in
-:class:`SolveDiagnostics`; per-run aggregation lives in
-:class:`SweepReport`, the one record of a run's escalations and quarantines.
+Past the fast stage both paths run the one chain,
+:func:`resilient_sparse_solve`.  A stage is *accepted* only when its
+solution is finite and its scaled residual
+``‖Ax − b‖∞ / (‖A‖₁·‖x‖∞ + ‖b‖∞)`` — past the fast stage, after up to
+:data:`REFINEMENT_STEPS` rounds of iterative refinement — is at or below
+:data:`RESIDUAL_LIMIT`.  A solve accepted past the fast stage also gets a
+1-norm condition estimate (probe vectors through its factorization); above
+:data:`CONDITION_LIMIT` it flags the solution *degraded*: recorded, never
+silently dropped.  The chain and its four constants are fixed, so a run's
+``on_failure`` mode is its whole resilience configuration.  Every
+escalation is recorded in :class:`SolveDiagnostics`; per-run aggregation
+lives in :class:`SweepReport`, the one record of a run's escalations and
+quarantines.
 """
 
 from __future__ import annotations
@@ -41,20 +42,19 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import SingularMatrixError, SolveFailureError
-from ..linalg.dense import DenseLU, batched_solve, dense_lu
+from ..linalg.dense import batched_solve
 from ..linalg.lu import sparse_lu
+from ..linalg.sparse import SparseMatrix
 
 __all__ = ["RESIDUAL_LIMIT", "CONDITION_LIMIT", "REFINEMENT_STEPS",
            "REGULARIZATION", "SolveDiagnostics", "EscalationRecord",
            "FailureRecord", "RecoveryRecord", "SweepReport",
            "scaled_residual", "consistency_residual",
-           "dense_condition_estimate",
-           "sparse_condition_estimate", "resilient_dense_solve",
-           "resilient_sparse_solve", "solve_stack_resilient",
-           "report_to_json", "report_from_json"]
+           "sparse_condition_estimate", "resilient_sparse_solve",
+           "solve_stack_resilient", "report_to_json", "report_from_json"]
 
 #: Escalation stages, in order of increasing desperation.
-STAGES = ("fast", "bitexact", "fresh", "regularized")
+STAGES = ("fast", "fresh", "regularized")
 
 #: Largest acceptable scaled residual (see :func:`scaled_residual`); a stage
 #: whose solution scores above it is rejected and escalation continues.
@@ -315,24 +315,16 @@ def report_from_json(text):
 
 
 def _matrix_one_norm(matrix) -> float:
-    """1-norm (max column sum of magnitudes) of a dense array or SparseMatrix."""
-    if hasattr(matrix, "col_nnz"):  # SparseMatrix
-        sums = np.zeros(matrix.n_cols)
-        for __, col, value in matrix.entries():
-            sums[col] += abs(value)
-        return float(sums.max()) if matrix.n_cols else 0.0
-    return float(np.abs(np.asarray(matrix)).sum(axis=0).max())
-
-
-def _matvec(matrix, x):
-    """``A x`` for a dense array or SparseMatrix."""
-    if hasattr(matrix, "matvec"):
-        return matrix.matvec(x)
-    return np.asarray(matrix) @ x
+    """1-norm (max column sum of magnitudes) of a SparseMatrix."""
+    sums = np.zeros(matrix.n_cols)
+    for __, col, value in matrix.entries():
+        sums[col] += abs(value)
+    return float(sums.max()) if matrix.n_cols else 0.0
 
 
 def scaled_residual(matrix, x, b) -> float:
-    """``‖Ax − b‖∞ / (‖A‖₁·‖x‖∞ + ‖b‖∞)`` — the stage-acceptance metric.
+    """``‖Ax − b‖∞ / (‖A‖₁·‖x‖∞ + ‖b‖∞)`` — the stage-acceptance metric of
+    a :class:`~repro.linalg.sparse.SparseMatrix` system.
 
     Non-finite solutions score ``inf``; the zero-dimensional system scores 0.
     """
@@ -342,7 +334,7 @@ def scaled_residual(matrix, x, b) -> float:
         return 0.0
     if not np.all(np.isfinite(x)):
         return float("inf")
-    residual = _matvec(matrix, x) - b
+    residual = matrix.matvec(x) - b
     numerator = float(np.abs(residual).max())
     denominator = (_matrix_one_norm(matrix) * float(np.abs(x).max())
                    + float(np.abs(b).max()))
@@ -352,13 +344,11 @@ def scaled_residual(matrix, x, b) -> float:
 
 
 def _absolute_matvec(matrix, magnitudes):
-    """``|A|·|x|`` for a dense array or SparseMatrix."""
-    if hasattr(matrix, "entries"):  # SparseMatrix
-        result = np.zeros(matrix.n_rows)
-        for row, col, value in matrix.entries():
-            result[row] += abs(value) * magnitudes[col]
-        return result
-    return np.abs(np.asarray(matrix)) @ magnitudes
+    """``|A|·|x|`` for a SparseMatrix."""
+    result = np.zeros(matrix.n_rows)
+    for row, col, value in matrix.entries():
+        result[row] += abs(value) * magnitudes[col]
+    return result
 
 
 def consistency_residual(matrix, x, b) -> float:
@@ -395,7 +385,7 @@ def consistency_residual(matrix, x, b) -> float:
         return 0.0
     if not np.all(np.isfinite(x)):
         return float("inf")
-    numerator = np.abs(_matvec(matrix, x) - b)
+    numerator = np.abs(matrix.matvec(x) - b)
     denominator = _absolute_matvec(matrix, np.abs(x)) + np.abs(b)
     # A zero denominator row forces a zero numerator (|(Ax)_i| ≤ (|A|·|x|)_i),
     # so 0/0 → 0 is the only degenerate case.
@@ -406,70 +396,6 @@ def consistency_residual(matrix, x, b) -> float:
     if rhs_norm == 0.0:
         return componentwise
     return max(componentwise, float(numerator.max()) / rhs_norm)
-
-
-def _conjugate_transpose_solve(factorization: DenseLU, rhs) -> np.ndarray:
-    """Solve ``Aᴴ x = b`` from the packed factors ``A = Pᵀ L U``.
-
-    ``Aᴴ = Uᴴ Lᴴ P``, so: forward-substitute the lower triangle ``Uᴴ``,
-    back-substitute the unit upper triangle ``Lᴴ``, then undo the row
-    permutation (``x[p] = w``).
-    """
-    lu = factorization.lu
-    n = factorization.n
-    work = np.asarray(rhs, dtype=complex).copy()
-    for i in range(n):
-        work[i] -= np.dot(np.conj(lu[:i, i]), work[:i])
-        pivot = np.conj(lu[i, i])
-        if pivot == 0:
-            raise SingularMatrixError(
-                "zero pivot in conjugate-transpose substitution",
-                pivot_index=i, dimension=n)
-        work[i] /= pivot
-    for i in range(n - 1, -1, -1):
-        work[i] -= np.dot(np.conj(lu[i + 1:, i]), work[i + 1:])
-    solution = np.empty(n, dtype=complex)
-    solution[factorization.permutation] = work
-    return solution
-
-
-def dense_condition_estimate(factorization: DenseLU, anorm) -> float:
-    """Hager's 1-norm condition estimate ``‖A‖₁·est(‖A⁻¹‖₁)`` from packed LU.
-
-    The classic power iteration on ``|A⁻¹|``: alternate solves with ``A`` and
-    ``Aᴴ``, steering toward the column of ``A⁻¹`` with the largest 1-norm.
-    A lower bound of the true condition number (usually within a small
-    factor); singular factors estimate ``inf``.
-    """
-    n = factorization.n
-    if n == 0:
-        return 0.0
-    anorm = float(anorm)
-    if anorm == 0.0:
-        return float("inf")
-    x = np.full(n, 1.0 / n, dtype=complex)
-    estimate = 0.0
-    try:
-        for __ in range(5):
-            y = factorization.solve(x)
-            if not np.all(np.isfinite(y)):
-                return float("inf")
-            new_estimate = float(np.abs(y).sum())
-            if new_estimate <= estimate:
-                break
-            estimate = new_estimate
-            magnitude = np.abs(y)
-            signs = np.where(magnitude == 0.0, 1.0 + 0.0j, y
-                             / np.where(magnitude == 0.0, 1.0, magnitude))
-            z = _conjugate_transpose_solve(factorization, signs)
-            j = int(np.argmax(np.abs(z)))
-            if float(np.abs(z[j])) <= float(np.real(np.vdot(z, x))):
-                break
-            x = np.zeros(n, dtype=complex)
-            x[j] = 1.0
-    except SingularMatrixError:
-        return float("inf")
-    return anorm * estimate
 
 
 def sparse_condition_estimate(factorization, matrix) -> float:
@@ -519,7 +445,7 @@ def _refine(factorization, matrix, x, b):
     for __ in range(REFINEMENT_STEPS):
         if residual <= RESIDUAL_LIMIT or not np.isfinite(residual):
             break
-        defect = b - _matvec(matrix, x)
+        defect = b - matrix.matvec(x)
         try:
             correction = factorization.solve(defect)
         except SingularMatrixError:
@@ -539,11 +465,10 @@ def _refine(factorization, matrix, x, b):
 # --------------------------------------------------------------------------- #
 
 
-def _attempt(stage, factor, matrix, rhs, escalations, estimate):
+def _attempt(stage, factor, matrix, rhs, escalations):
     """Run one escalation stage: factor, solve, refine and judge.
 
-    ``factor()`` returns the stage's factorization; ``estimate`` maps an
-    accepted factorization to its condition estimate.  Returns
+    ``factor()`` returns the stage's factorization.  Returns
     ``(x, SolveDiagnostics, factorization)`` when the stage is accepted;
     otherwise appends the stage's :class:`EscalationRecord` to
     ``escalations`` and returns ``None``.
@@ -571,73 +496,21 @@ def _attempt(stage, factor, matrix, rhs, escalations, estimate):
             stage, f"residual {residual:.3e} above limit "
             f"{RESIDUAL_LIMIT:.3e}"))
         return None
-    condition = estimate(factorization)
+    condition = sparse_condition_estimate(factorization, matrix)
     return x, SolveDiagnostics(
         stage=stage, residual=residual, condition=condition,
         refinements=applied, degraded=condition > CONDITION_LIMIT,
         escalations=tuple(escalations)), factorization
 
 
-def _exhausted(dimension, escalations) -> SolveFailureError:
-    """The error of a chain whose every stage was rejected."""
-    return SolveFailureError(
-        "escalation chain exhausted without an acceptable solution",
-        dimension=dimension, stage="regularized",
-        diagnostics=SolveDiagnostics(
-            stage="regularized", residual=float("inf"),
-            escalations=tuple(escalations)))
-
-
-def resilient_dense_solve(matrix, rhs, escalations=()):
-    """Escalating scalar solve of one dense system ``A x = b``.
-
-    The chain past the fast stage: ``bitexact`` (scalar
-    :func:`~repro.linalg.dense.dense_lu`, the reference kernel whose factors
-    are the batched kernel's bit-for-bit) then ``regularized``
-    (``A + εI``, validated against the original ``A``).  Callers that already
-    burned the fast stage pass its :class:`EscalationRecord` in
-    ``escalations``.
-
-    Returns ``(x, SolveDiagnostics)``; raises :class:`SolveFailureError`
-    when every stage is rejected.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex)
-    escalations = list(escalations)
-    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
-        raise SolveFailureError(
-            "system contains non-finite entries; unrecoverable",
-            dimension=matrix.shape[0], stage="fast",
-            diagnostics=SolveDiagnostics(
-                stage="fast", residual=float("inf"),
-                escalations=tuple(escalations)))
-    anorm = _matrix_one_norm(matrix)
-
-    def estimate(factorization):
-        return dense_condition_estimate(factorization, anorm)
-
-    def regularized():
-        shift = REGULARIZATION * max(anorm, 1.0)
-        return dense_lu(matrix + shift * np.eye(matrix.shape[0],
-                                                dtype=complex))
-
-    accepted = (_attempt("bitexact", lambda: dense_lu(matrix), matrix, rhs,
-                         escalations, estimate)
-                or _attempt("regularized", regularized, matrix, rhs,
-                            escalations, estimate))
-    if accepted is None:
-        raise _exhausted(matrix.shape[0], escalations)
-    x, diagnostics, __ = accepted
-    return x, diagnostics
-
-
 def resilient_sparse_solve(matrix, rhs, escalations=()):
     """Escalating scalar solve of one sparse system ``A x = b``.
 
-    The chain past the fast stage (the sweep engine's compiled chunk):
-    ``fresh`` (a full Markowitz pivot search, abandoning the fill-reducing
-    order) then ``regularized`` (``A + εI``, validated against the original
-    ``A``).  Callers pass the fast stage's :class:`EscalationRecord` in
+    The one chain past the fast stage (the sweep engine's compiled chunk, or
+    the dense path's batched solve): ``fresh`` (a full Markowitz pivot
+    search, abandoning the fill-reducing order) then ``regularized``
+    (``A + εI``, validated against the original ``A``).  Callers pass the
+    fast stage's :class:`EscalationRecord` in
     ``escalations``; a non-finite system is refused before any stage, with
     no records.  Returns ``(x, SolveDiagnostics, pattern)``: ``pattern`` is
     the accepted ``fresh`` factorization, or ``None`` after a regularized
@@ -655,19 +528,21 @@ def resilient_sparse_solve(matrix, rhs, escalations=()):
                 stage="fast", residual=float("inf")))
     escalations = list(escalations)
 
-    def estimate(factorization):
-        return sparse_condition_estimate(factorization, matrix)
-
     def regularized():
         shift = REGULARIZATION * max(_matrix_one_norm(matrix), 1.0)
         return sparse_lu(matrix.diagonally_shifted(shift))
 
     accepted = (_attempt("fresh", lambda: sparse_lu(matrix), matrix, rhs,
-                         escalations, estimate)
+                         escalations)
                 or _attempt("regularized", regularized, matrix, rhs,
-                            escalations, estimate))
+                            escalations))
     if accepted is None:
-        raise _exhausted(matrix.n_rows, escalations)
+        raise SolveFailureError(
+            "escalation chain exhausted without an acceptable solution",
+            dimension=matrix.n_rows, stage="regularized",
+            diagnostics=SolveDiagnostics(
+                stage="regularized", residual=float("inf"),
+                escalations=tuple(escalations)))
     x, diagnostics, factorization = accepted
     return x, diagnostics, (factorization if diagnostics.stage == "fresh"
                             else None)
@@ -742,10 +617,11 @@ def solve_stack_resilient(stack, rhs, report, indexer) -> np.ndarray:
 
     The fast stage is :func:`~repro.linalg.dense.batched_solve`; members it
     cannot serve — singular members, non-finite rows, residuals over
-    :data:`RESIDUAL_LIMIT` — are re-solved one by one through
-    :func:`resilient_dense_solve`.  The batched kernel is batch-size
-    invariant, so surviving members keep exactly the bits a fault-free run
-    would have produced.
+    :data:`RESIDUAL_LIMIT` — escalate one by one through the chain past it,
+    :func:`resilient_sparse_solve` on the member's
+    :meth:`~repro.linalg.sparse.SparseMatrix.from_dense`.  The batched
+    kernel is batch-size invariant, so surviving members keep exactly the
+    bits a fault-free run would have produced.
 
     Parameters
     ----------
@@ -804,7 +680,8 @@ def solve_stack_resilient(stack, rhs, report, indexer) -> np.ndarray:
             reason = (f"fast batched residual {residuals[member]:.3e} "
                       f"above limit {RESIDUAL_LIMIT:.3e}")
         escalated = _escalate(report, *indexer(member), lambda: (
-            resilient_dense_solve(stack[member], rhs_stack[member],
-                                  (EscalationRecord("fast", reason),))))
+            resilient_sparse_solve(SparseMatrix.from_dense(stack[member]),
+                                   rhs_stack[member],
+                                   (EscalationRecord("fast", reason),))))
         solutions[member] = np.nan if escalated is None else escalated[0]
     return solutions

@@ -118,7 +118,7 @@ class SweepEngine:
     def is_dense(self):
         """True when this engine factors through the dense (batched) LU."""
         return use_dense(self.formulation.dimension, self.method,
-                         cutoff=self.dense_cutoff)
+                         self.dense_cutoff)
 
     def column_order(self):
         """The engine's elimination order: AMD of its merged structure.
@@ -226,7 +226,8 @@ class SweepEngine:
         ``rhs``, ``x`` stacking points ``start, start + 1, …``.
 
         The one sparse solve loop.  Without a ``report`` a singular pivot
-        search raises.  With one, each chunk of :meth:`_sparse_chunks` is
+        search raises, and so does a non-finite value, before any pivot
+        search.  With one, each chunk of :meth:`_sparse_chunks` is
         the escalation chain's fast stage: its members are accepted in order
         while finite with a scaled residual within
         :data:`~repro.engine.resilience.RESIDUAL_LIMIT`.  The first member
@@ -237,6 +238,10 @@ class SweepEngine:
         description)``; an unrecoverable point yields a NaN row.
         """
         if report is None:
+            if not all(np.isfinite(part).all()
+                       for part in (base, dynamic, factors)):
+                raise SingularMatrixError(
+                    f"{self.singular_label} contains non-finite entries")
             for start, chunk in self._sparse_chunks(keys, base, dynamic,
                                                     factors):
                 yield start, chunk.solve(rhs)
@@ -291,11 +296,18 @@ class SweepEngine:
             start = point + 1
 
     def _schedule(self, keys):
-        """The pattern's compiled schedule and the slots of ``keys`` in it."""
+        """The pattern's compiled schedule and the slots of ``keys`` in it.
+
+        A schedule depends only on the pivot order and the keys, so the plan
+        is kept per order: patterns that choose the same order (one per
+        ensemble sample) share one compiled schedule.
+        """
         pattern = self._sparse_pattern
-        if self._refactor_plan is None or self._refactor_plan[0] is not pattern:
+        plan_key = (pattern.pivot_rows, pattern.pivot_cols, keys)
+        if self._refactor_plan is None or self._refactor_plan[0] != plan_key:
             schedule = pattern.refactor_schedule(keys)
-            self._refactor_plan = (pattern, schedule, schedule.slots_of(keys))
+            self._refactor_plan = (plan_key, schedule,
+                                   schedule.slots_of(keys))
         return self._refactor_plan[1:]
 
     # ------------------------------------------------------------------ #

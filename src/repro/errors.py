@@ -92,8 +92,7 @@ class SolveFailureError(SingularMatrixError):
 
     A :class:`SingularMatrixError` subclass (callers catching the classic
     error keep working), raised by
-    :func:`repro.engine.resilience.resilient_dense_solve` and
-    :func:`~repro.engine.resilience.resilient_sparse_solve` with the full
+    :func:`repro.engine.resilience.resilient_sparse_solve` with the full
     :class:`repro.engine.resilience.SolveDiagnostics` attached as
     ``diagnostics``.
     """

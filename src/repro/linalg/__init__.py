@@ -16,15 +16,14 @@ substrate from scratch:
   refactor-many primitive of the batched frequency-sweep engine,
 * :func:`~repro.linalg.ordering.fill_reducing_order` — the approximate
   minimum-degree (AMD) elimination order every sparse sweep factors along,
-* :func:`~repro.linalg.dense.dense_lu` — a dense LU with partial pivoting used
-  for cross-checking and for small systems,
+* :func:`~repro.linalg.dense.dense_lu` — a dense LU with partial pivoting,
+  the scalar reference the batched kernel and the tests compare against,
 * :func:`~repro.linalg.dense.batched_dense_lu` — the same dense algorithm
   vectorized over a whole stack of sweep matrices at once,
 * :func:`~repro.linalg.rank1.rank1_update_solve` — Sherman–Morrison solve of
   a rank-1-modified system ``(A + Δy·u·vᵀ) x = b`` in O(n²) from any cached
   factorization (dense, batched, or sparse), the kernel of the element
-  sensitivity screening,
-* :mod:`~repro.linalg.det` — convenience determinant / solve wrappers.
+  sensitivity screening.
 """
 
 from .config import DEFAULT_DENSE_CUTOFF, dense_cutoff
@@ -34,7 +33,6 @@ from .ordering import (fill_reducing_order, inverse_permutation,
                        permute_symmetric)
 from .dense import dense_lu, DenseLU, batched_dense_lu, BatchedDenseLU
 from .rank1 import Rank1Stamp, rank1_update_solve
-from .det import determinant, solve_linear_system, log10_determinant
 
 __all__ = [
     "DEFAULT_DENSE_CUTOFF",
@@ -52,7 +50,4 @@ __all__ = [
     "BatchedDenseLU",
     "Rank1Stamp",
     "rank1_update_solve",
-    "determinant",
-    "solve_linear_system",
-    "log10_determinant",
 ]

@@ -1,15 +1,14 @@
 """Shared linear-algebra configuration: the dense/sparse dispatch cutoff.
 
 Systems at or below :func:`dense_cutoff` unknowns are factored with the
-vectorizable dense LU (:func:`~repro.linalg.dense.dense_lu` / its batched
-variant); larger systems go through the sparse LU.  Historically three
-copies of this constant existed (``linalg.det``, ``mna.solve``,
-``nodal.sampler``) and had drifted apart; every ``method="auto"`` decision
-now reads this module, so the whole stack flips backend at the same
-dimension.  Overridable per process through ``REPRO_DENSE_CUTOFF``.
-Long-lived consumers (notably :class:`~repro.engine.sweep.SweepEngine`)
-snapshot the cutoff at construction, so one engine never mixes backends
-mid-sweep when the environment changes under it.
+vectorized dense LU (:func:`~repro.linalg.dense.batched_dense_lu`); larger
+systems go through the sparse LU.  Every ``method="auto"`` decision goes
+through :func:`use_dense` against this cutoff, so the whole stack flips
+backend at the same dimension.  Overridable per process through
+``REPRO_DENSE_CUTOFF``.  Consumers (notably
+:class:`~repro.engine.sweep.SweepEngine`) snapshot the cutoff at
+construction, so one engine never mixes backends mid-sweep when the
+environment changes under it.
 """
 
 from __future__ import annotations
@@ -43,16 +42,15 @@ def dense_cutoff() -> int:
     return value if value >= 0 else DEFAULT_DENSE_CUTOFF
 
 
-def use_dense(dimension, method="auto", cutoff=None) -> bool:
-    """Resolve a factorization ``method`` against the dense/sparse cutoff.
+def use_dense(dimension, method, cutoff) -> bool:
+    """Resolve a factorization ``method`` against a dense/sparse ``cutoff``.
 
     ``method`` must be ``"auto"``, ``"dense"`` or ``"sparse"`` — validation
     (and the error type raised for anything else) stays with the caller.
-    ``cutoff`` lets a caller pin the decision to a snapshot taken earlier
-    (``None`` reads the live :func:`dense_cutoff`).
+    ``cutoff`` is the caller's snapshot of :func:`dense_cutoff`.
     """
     if method == "dense":
         return True
     if method == "sparse":
         return False
-    return dimension <= (dense_cutoff() if cutoff is None else cutoff)
+    return dimension <= cutoff

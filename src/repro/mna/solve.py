@@ -1,12 +1,13 @@
 """Frequency-domain solution of MNA systems.
 
-:func:`ac_solve` handles one complex frequency; :func:`ac_sweep` and
-:func:`ac_factor_sweep` handle whole grids through the shared sweep engine
-(:mod:`repro.engine.sweep`), which assembles the constant (``G``) and
-frequency-proportional (``C``) parts a single time and reuses the
-factorization structure across points: dense systems go through the
-vectorized :func:`~repro.linalg.dense.batched_dense_lu`, sparse systems run
-the pivot search once and refactor numerically everywhere else.
+:func:`ac_solve` handles one complex frequency as a one-point sweep;
+:func:`ac_sweep` and :func:`ac_factor_sweep` handle whole grids.  All of them
+run through the shared sweep engine (:mod:`repro.engine.sweep`), which
+assembles the constant (``G``) and frequency-proportional (``C``) parts a
+single time and reuses the factorization structure across points: dense
+systems go through the vectorized
+:func:`~repro.linalg.dense.batched_dense_lu`, sparse systems run the pivot
+search once and refactor numerically everywhere else.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from typing import Union
 import numpy as np
 
 from ..engine.sweep import SweepEngine, SweepFactors
-from ..errors import FormulationError
-from ..linalg import det
 from .builder import MnaSystem, build_mna_system
 
 __all__ = ["ac_solve", "ac_sweep", "ac_factor_sweep", "operating_transfer"]
@@ -26,23 +25,18 @@ __all__ = ["ac_solve", "ac_sweep", "ac_factor_sweep", "operating_transfer"]
 _SINGULAR_LABEL = "MNA matrix"
 
 
-def _factor(matrix, method="auto"):
-    if method not in ("auto", "dense", "sparse"):
-        raise FormulationError(f"unknown factorization method {method!r}")
-    return det._factor(matrix, method)
-
-
 def ac_solve(system: Union[MnaSystem, "object"], s, method="auto") -> np.ndarray:
     """Solve the MNA system at complex frequency ``s`` with its own excitation.
 
     ``system`` may be an :class:`MnaSystem` or a circuit (built on the fly).
-    Returns the full unknown vector (node voltages then branch currents).
+    Returns the full unknown vector (node voltages then branch currents):
+    the one row of a one-point :func:`ac_sweep`.
     """
     if not isinstance(system, MnaSystem):
         system = build_mna_system(system)
-    matrix = system.assemble(s)
-    factorization = _factor(matrix, method)
-    return factorization.solve(system.rhs)
+    return SweepEngine(system, method=method,
+                       singular_label=_SINGULAR_LABEL).solve_sweep(
+                           [s], system.rhs)[0]
 
 
 def ac_sweep(system: Union[MnaSystem, "object"], s_values,

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 import multiprocessing
 import os
 import pickle
@@ -325,9 +326,12 @@ def _spawn_worker(context, slot, payload, values_buffer, responses_buffer,
         args=(slot, payload, tasks, results, values_buffer,
               responses_buffer, weights_buffer, heartbeats),
         daemon=True, name=f"repro-ensemble-worker-{slot}")
+    # A fresh worker must not be declared hung before its first beat: the
+    # silence check never fires on an infinite stamp, and the worker's first
+    # beat overwrites it (set before the start, so it cannot overwrite the
+    # beat).  The shard deadline still bounds a worker that never starts.
+    heartbeats[slot] = math.inf
     process.start()
-    # A fresh worker must not be declared hung before its first beat.
-    heartbeats[slot] = time.monotonic()
     return _WorkerHandle(slot=slot, process=process, tasks=tasks,
                          results=results)
 

@@ -10,17 +10,15 @@ exponent range, both values are carried as ``(complex mantissa, decimal
 exponent)`` pairs (see :class:`SampleValue`); the DFT stage later rescales a
 whole batch of samples by a common power of ten.
 
-Multi-point evaluation (:meth:`NetworkFunctionSampler.sample_many`,
-:meth:`NetworkFunctionSampler.frequency_response`) runs through the sampler's
-:class:`~repro.engine.sweep.SweepEngine`, which assembles the
+Every evaluation (:meth:`NetworkFunctionSampler.sample_many`, and
+:meth:`~NetworkFunctionSampler.sample` as a one-point sweep) runs through the
+sampler's :class:`~repro.engine.sweep.SweepEngine`, which assembles the
 frequency-independent (``G``) and frequency-proportional (``C``) parts once
 per sweep and shares the factorization work across all points: dense systems
 are factored one vectorized elimination per chunk and sampled through scalar
-member views, so every sample is bit-for-bit the one :meth:`sample` produces;
+member views, bit-for-bit the scalar :func:`~repro.linalg.dense.dense_lu`;
 sparse systems replay one compiled pivot order over chunks of points, with
 one vectorized determinant and one vectorized solve per chunk.
-:meth:`NetworkFunctionSampler.sample` stays the per-point path and the oracle
-the equivalence tests compare the sweeps against.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import numpy as np
 
 from ..engine.sweep import SweepEngine
 from ..errors import InterpolationError
-from ..linalg.det import _factor
 from .admittance import NodalFormulation, build_nodal_formulation
 from .reduce import TransferSpec
 
@@ -102,7 +99,6 @@ class NetworkFunctionSampler:
             )
         if method not in ("auto", "dense", "sparse"):
             raise InterpolationError(f"unknown factorization method {method!r}")
-        self.method = method
         #: Number of LU factorizations performed (for benchmarking).  Batched
         #: sweeps count one factorization per point, whether the work was done
         #: by the vectorized stack LU or by structure-reusing refactorization.
@@ -123,10 +119,6 @@ class NetworkFunctionSampler:
         """Upper bound on numerator / denominator degree (see formulation)."""
         return self.formulation.max_polynomial_degree()
 
-    def _factor(self, matrix):
-        self.factorization_count += 1
-        return _factor(matrix, self.method)
-
     # ------------------------------------------------------------------ #
 
     def sample(self, s, conductance_scale=1.0, frequency_scale=1.0) -> SampleValue:
@@ -134,26 +126,22 @@ class NetworkFunctionSampler:
 
         The matrix assembled is ``g·G + s·f·C`` — i.e. the *scaled* system —
         so the polynomial recovered from these samples has the normalized
-        coefficients ``p'_i`` of Eq. (11).
+        coefficients ``p'_i`` of Eq. (11).  A one-point :meth:`sample_many`.
         """
-        matrix = self.formulation.assemble(s, conductance_scale,
-                                           frequency_scale)
-        factorization = self._factor(matrix)
-        return self._make_sample(
-            s, factorization.determinant_mantissa_exponent(),
-            self._forced_transfer(), factorization.solve,
-            conductance_scale, frequency_scale)
+        return self.sample_many([s], conductance_scale, frequency_scale)[0]
 
     def sample_many(self, points, conductance_scale=1.0,
                     frequency_scale=1.0) -> List[SampleValue]:
         """Evaluate at every point of ``points`` (a sequence of complex values).
 
         Results preserve the input order, one :class:`SampleValue` per point.
-        A sweep of two or more points runs through :attr:`engine`: the matrix
-        parts are assembled once and the factorization work is shared across
-        all points.  Dense samples are bit-for-bit the ones :meth:`sample`
-        produces; sparse ones agree to rounding (the sweep reuses one pivot
-        order where :meth:`sample` searches afresh at every point).
+        The sweep runs through :attr:`engine`: the matrix parts are assembled
+        once and the factorization work is shared across all points.  Dense
+        samples are bit-for-bit the scalar
+        :func:`~repro.linalg.dense.dense_lu` of each point's matrix; sparse
+        ones agree with a per-point :func:`~repro.linalg.lu.sparse_lu` to
+        rounding (the sweep reuses the engine's pivot order where a fresh
+        factorization would search afresh at every point).
 
         Raises
         ------
@@ -161,9 +149,8 @@ class NetworkFunctionSampler:
             When the scaled matrix of a sweep is singular at some point.
         """
         points = list(points)
-        if len(points) < 2:
-            return [self.sample(point, conductance_scale, frequency_scale)
-                    for point in points]
+        if not points:
+            return []
         s = np.asarray(points, dtype=complex)
         forced = self._forced_transfer()
         samples = []
@@ -173,7 +160,7 @@ class NetworkFunctionSampler:
                 # The O(M^3) elimination ran once, vectorized over the chunk;
                 # determinant accumulation and substitution (O(M) / O(M^2)
                 # per point) go through scalar DenseLU views so every sample
-                # is bit-for-bit the one the per-point path produces.
+                # is bit-for-bit the one the scalar dense_lu produces.
                 for k, point in enumerate(
                         s[start:start + factorization.batch]):
                     member = factorization.member(k)

@@ -379,9 +379,10 @@ def run_batch_sweep(num_points=200, circuits=None, method="auto",
     """Compare per-point and batched sweeps over a set of circuits.
 
     Every circuit is swept over ``num_points`` log-spaced frequencies twice —
-    once through the original one-matrix-at-a-time path, once through the
-    batch engine — taking the best wall-clock of ``repeats`` runs for each
-    path, and the transfer values are compared point by point.
+    once point by point, each point a one-point engine sweep
+    (:meth:`~repro.nodal.sampler.NetworkFunctionSampler.sample`), once as one
+    batched sweep — taking the best wall-clock of ``repeats`` runs for each
+    arm, and the transfer values are compared point by point.
 
     Parameters
     ----------

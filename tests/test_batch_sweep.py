@@ -19,6 +19,7 @@ from repro.mna.solve import ac_solve, ac_sweep
 from repro.netlist.transform import to_admittance_form
 from repro.nodal.sampler import NetworkFunctionSampler
 from repro.xfloat import XFloat
+from scalar_oracle import oracle_sample, oracle_solve
 
 
 def _random_grid(rng, count=24):
@@ -106,15 +107,17 @@ class TestSampleManyEquivalence:
     def test_property_random_grids_match_pointwise(self, scales, rc_ladder_3,
                                                    ota_circuit,
                                                    miller_circuit):
-        """Batched and per-point samples agree on random grids and scales."""
+        """Batched samples equal the scalar oracle's on random grids and
+        scales."""
         conductance_scale, frequency_scale = scales
         rng = np.random.default_rng(int(frequency_scale) % 7919)
         fixtures = [rc_ladder_3[:2], ota_circuit, miller_circuit]
         for circuit, spec in fixtures:
             sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec)
             points = _random_grid(rng)
-            pointwise = [sampler.sample(point, conductance_scale,
-                                        frequency_scale) for point in points]
+            pointwise = [oracle_sample(sampler.formulation, point,
+                                       conductance_scale, frequency_scale)
+                         for point in points]
             batched = sampler.sample_many(points, conductance_scale,
                                           frequency_scale)
             for expected, got in zip(pointwise, batched):
@@ -131,12 +134,14 @@ class TestSampleManyEquivalence:
         assert [sample.s for sample in samples] == [complex(p) for p in points]
 
     def test_sample_many_xfloat_exponent_handling(self):
-        """Huge scale factors: exponents match per-point and mantissas stay
-        normalized into [1, 10), beyond double range when denormalized."""
+        """Huge scale factors: exponents match the scalar oracle and
+        mantissas stay normalized into [1, 10), beyond double range when
+        denormalized."""
         circuit, spec = build_rc_ladder(24)
         sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec)
         points = _random_grid(np.random.default_rng(6), count=12)
-        pointwise = [sampler.sample(point, 1.0, 1e9) for point in points]
+        pointwise = [oracle_sample(sampler.formulation, point, 1.0, 1e9)
+                     for point in points]
         batched = sampler.sample_many(points, 1.0, 1e9)
         for expected, got in zip(pointwise, batched):
             assert got.denominator == expected.denominator
@@ -144,7 +149,7 @@ class TestSampleManyEquivalence:
             for mantissa, __ in (got.numerator, got.denominator):
                 if mantissa != 0:
                     # Mantissas stay normalized (up to one rounding ulp at
-                    # the decade boundary, matching the per-point path).
+                    # the decade boundary, matching the scalar oracle).
                     assert 0.999 <= abs(mantissa) < 10.001
         # The sweep reaches magnitudes a plain double cannot represent once
         # combined with the Eq. (11) denormalization — XFloat carries them.
@@ -157,7 +162,8 @@ class TestSampleManyEquivalence:
         sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec,
                                          method="sparse")
         points = _random_grid(np.random.default_rng(8), count=15)
-        pointwise = [sampler.sample(point) for point in points]
+        pointwise = [oracle_sample(sampler.formulation, point,
+                                   method="sparse") for point in points]
         batched = sampler.sample_many(points)
         reference = np.array([sample.transfer() for sample in pointwise])
         values = np.array([sample.transfer() for sample in batched])
@@ -171,9 +177,28 @@ class TestSampleManyEquivalence:
         sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec)
         frequencies = np.logspace(2, 7, 30)
         response = sampler.frequency_response(frequencies)
-        expected = np.array([sampler.transfer_value(2j * math.pi * f)
-                             for f in frequencies])
+        expected = np.array([
+            oracle_sample(sampler.formulation, 2j * math.pi * f).transfer()
+            for f in frequencies])
         assert np.array_equal(response, expected)
+        # Single points are one-point sweeps, bitwise the oracle's too.
+        single = np.array([sampler.transfer_value(2j * math.pi * f)
+                           for f in frequencies])
+        assert np.array_equal(single, expected)
+
+    def test_single_sparse_point_reuses_the_engine_pattern(self,
+                                                          miller_circuit):
+        circuit, spec = miller_circuit
+        sampler = NetworkFunctionSampler(to_admittance_form(circuit), spec,
+                                         method="sparse")
+        points = _random_grid(np.random.default_rng(14), count=4)
+        sampler.sample_many(points[:3])
+        sample = sampler.sample(points[3])
+        assert (sampler.engine.factorization_count,
+                sampler.engine.refactorization_count) == (1, 3)
+        expected = oracle_sample(sampler.formulation, points[3],
+                                 method="sparse").transfer()
+        assert abs(sample.transfer() - expected) <= 1e-9 * abs(expected)
 
 
 class TestMnaAndAnalysisSweep:
@@ -183,10 +208,11 @@ class TestMnaAndAnalysisSweep:
         points = _random_grid(np.random.default_rng(9), count=10)
         swept = ac_sweep(system, points)
         for index, point in enumerate(points):
-            single = ac_solve(system, point)
-            assert np.max(np.abs(swept[index] - single)) <= (
-                1e-9 * np.max(np.abs(single))
-            )
+            expected = oracle_solve(system, point)
+            for solution in (swept[index], ac_solve(system, point)):
+                assert np.max(np.abs(solution - expected)) <= (
+                    1e-9 * np.max(np.abs(expected))
+                )
 
     def test_ac_sweep_sparse_matches_dense(self, ua741_circuit):
         circuit, __ = ua741_circuit
@@ -204,7 +230,16 @@ class TestMnaAndAnalysisSweep:
         swept = analysis.frequency_response(frequencies)
         pointwise = np.array([analysis.value_at(2j * math.pi * f)
                               for f in frequencies])
-        assert np.max(np.abs(swept - pointwise) / np.abs(pointwise)) <= 1e-9
+        system = analysis.system
+        solutions = np.array([oracle_solve(system, 2j * math.pi * f)
+                              for f in frequencies])
+        positive, negative = spec.output_nodes()
+        expected = system.node_voltages(solutions, positive)
+        if negative is not None:
+            expected = expected - system.node_voltages(solutions, negative)
+        for values in (swept, pointwise):
+            assert np.max(np.abs(values - expected)
+                          / np.abs(expected)) <= 1e-9
         assert analysis.factorization_count == 50
 
     def test_bode_sweep_matches_bode(self, ua741_circuit):

@@ -164,7 +164,8 @@ class TestDenseCutoffConfig:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(DENSE_CUTOFF_ENV, "7")
         assert dense_cutoff() == 7
-        assert use_dense(7) and not use_dense(8)
+        assert use_dense(7, "auto", dense_cutoff())
+        assert not use_dense(8, "auto", dense_cutoff())
 
     def test_invalid_override_falls_back(self, monkeypatch):
         monkeypatch.setenv(DENSE_CUTOFF_ENV, "many")
@@ -180,11 +181,11 @@ class TestDenseCutoffConfig:
         assert not SweepEngine(system).is_dense
         monkeypatch.setenv(DENSE_CUTOFF_ENV, str(system.dimension))
         assert SweepEngine(system).is_dense
-        assert use_dense(system.dimension, "sparse") is False
+        assert use_dense(system.dimension, "sparse", dense_cutoff()) is False
 
     def test_forced_methods_ignore_cutoff(self):
-        assert use_dense(10_000, "dense") is True
-        assert use_dense(1, "sparse") is False
+        assert use_dense(10_000, "dense", 1) is True
+        assert use_dense(1, "sparse", 10_000) is False
 
 
 # --------------------------------------------------------------------------- #

@@ -48,10 +48,12 @@ from repro.circuits import (
     build_ua741_macro,
 )
 from repro.interpolation.reference import generate_reference
+from repro.linalg.config import dense_cutoff
 from repro.netlist.transform import to_admittance_form
 from repro.nodal.sampler import NetworkFunctionSampler
 from repro.symbolic.sbg import simplification_before_generation
 from repro.symbolic.sdg import simplification_during_generation
+from scalar_oracle import oracle_sample
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -192,20 +194,20 @@ def test_golden_snapshot(name, builder, request):
 
 @pytest.mark.parametrize("name,builder", LIBRARY_CIRCUITS)
 def test_batched_sampler_bit_parity(name, builder):
-    """CHANGES.md parity claim, enforced: batch and per-point paths agree
-    bit-for-bit on every dense-dispatch library circuit (no stored floats
-    involved).  Above the dense cutoff the batched sweep reuses the first
-    point's pivot pattern while the per-point path re-pivots freshly at
-    every frequency — deliberately different pivot sequences — so the
-    generator circuits assert a tight relative bound instead."""
+    """CHANGES.md parity claim, enforced: the batched sweep and the scalar
+    per-point oracle agree bit-for-bit on every dense-dispatch library
+    circuit (no stored floats involved).  Above the dense cutoff the batched
+    sweep reuses the first point's pivot pattern while the oracle's
+    ``sparse_lu`` re-pivots freshly at every frequency — deliberately
+    different pivot sequences — so the generator circuits assert a tight
+    relative bound instead."""
     circuit, spec = builder()
     admittance = to_admittance_form(circuit)
     sampler = NetworkFunctionSampler(admittance, spec)
     points = (2j * np.pi * np.logspace(1.0, 7.0, 7)).tolist()
     batched = sampler.sample_many(points)
-    pointwise = [sampler.sample(point) for point in points]
-    from repro.linalg.config import dense_cutoff
-
+    pointwise = [oracle_sample(sampler.formulation, point)
+                 for point in points]
     exact = sampler.dimension <= dense_cutoff()
     for index, (fast, slow) in enumerate(zip(batched, pointwise)):
         if exact:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import LinAlgError, SingularMatrixError
 from repro.interpolation.polynomial import Polynomial
 from repro.linalg.dense import dense_lu
-from repro.linalg.det import determinant, log10_determinant, solve_linear_system
 from repro.linalg.lu import sparse_lu
 from repro.linalg.sparse import SparseMatrix
 from repro.xfloat import XFloat, decimal_complex
@@ -153,28 +152,6 @@ class TestSparseLU:
         rhs = rng.standard_normal(n)
         solution = sparse_lu(SparseMatrix.from_dense(dense)).solve(rhs)
         np.testing.assert_allclose(dense @ solution, rhs, rtol=1e-7, atol=1e-9)
-
-
-class TestDetHelpers:
-    def test_determinant_auto_selects(self):
-        dense = np.diag([2.0, 3.0, 4.0])
-        mantissa, exponent = determinant(dense)
-        assert mantissa * 10.0**exponent == pytest.approx(24.0)
-        mantissa, exponent = determinant(SparseMatrix.from_dense(dense),
-                                         method="sparse")
-        assert mantissa * 10.0**exponent == pytest.approx(24.0)
-
-    def test_log10_determinant(self):
-        assert log10_determinant(np.diag([10.0, 100.0])) == pytest.approx(3.0)
-
-    def test_solve_linear_system(self):
-        matrix = np.array([[2.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_allclose(solve_linear_system(matrix, [2.0, 8.0]),
-                                   [1.0, 2.0])
-
-    def test_unknown_method(self):
-        with pytest.raises(LinAlgError):
-            determinant(np.eye(2), method="quantum")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -26,6 +26,7 @@ The contract under test (ISSUE 9):
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -281,6 +282,27 @@ class TestFaultRecovery:
         np.testing.assert_array_equal(spawned.responses, in_process.responses)
         assert (report_to_json(spawned.report)
                 == report_to_json(in_process.report))
+
+    def test_slow_starting_worker_judged_only_from_its_first_beat(
+            self, ladder, monkeypatch):
+        # A spawned worker imports numpy and the library before its first
+        # beat.  Here every forked worker starts twice the heartbeat timeout
+        # late: the silence check must wait for the first beat instead of
+        # declaring the worker hung.
+        circuit, spec, space = ladder
+        worker_main = parallel_module._worker_main
+
+        def slow_start(*args):
+            time.sleep(2 * parallel_module.HEARTBEAT_TIMEOUT)
+            worker_main(*args)
+
+        monkeypatch.setattr(parallel_module, "_worker_main", slow_start)
+        monkeypatch.setenv("REPRO_MP_START", "fork")
+        run = parallel_ensemble_sweep(circuit, spec, FREQUENCIES, space,
+                                      samples=8, seed=5, shard_size=4,
+                                      workers=2)
+        assert run.parallel.workers == 2
+        assert run.parallel.redispatches == 0
 
 
 class TestCheckpointComposition:

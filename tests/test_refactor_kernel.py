@@ -14,7 +14,9 @@
   and continues with the fresh pattern, the rule of the per-point
   ``sparse_lu_reusing``; a resilient sweep counts that pivot search on the
   fast stage;
-* a matrix with an entry outside the compiled structure is **rejected**.
+* a matrix with an entry outside the compiled structure is **rejected**;
+* **one schedule per pivot order** — ensemble samples whose pivot searches
+  choose the same order share one compiled schedule.
 """
 
 from __future__ import annotations
@@ -26,14 +28,16 @@ from strategies import random_sparse_topology
 
 import repro.engine.sweep as sweep_module
 from repro.circuits.generators import build_generator
+from repro.circuits.rc_ladder import build_rc_ladder
 from repro.engine.formulation import FormulationBase
 from repro.engine.resilience import SweepReport
 from repro.engine.sweep import SweepEngine
 from repro.errors import LinAlgError, SingularMatrixError
-from repro.linalg.lu import (LUFactorization, sparse_lu, sparse_lu_refactor,
-                             sparse_lu_reusing)
+from repro.linalg.lu import (LUFactorization, RefactorSchedule, sparse_lu,
+                             sparse_lu_refactor, sparse_lu_reusing)
 from repro.linalg.ordering import fill_reducing_order
 from repro.linalg.sparse import SparseMatrix
+from repro.montecarlo import ParameterSpace, ensemble_sweep
 from repro.netlist.transform import to_admittance_form
 from repro.nodal.admittance import build_nodal_formulation
 
@@ -311,3 +315,21 @@ def test_refactor_widens_the_schedule_for_new_entries():
     assert pattern.refactor_schedule([(0, 3)]).covers(keys)
     expected = np.linalg.solve(matrix.to_dense(), _RHS)
     assert _relative(member.solve(_RHS), expected) <= 1e-12
+
+
+def test_ensemble_samples_share_one_schedule_per_order(monkeypatch):
+    compiled = []
+    original = RefactorSchedule.__init__
+
+    def counting(self, *args, **kwargs):
+        compiled.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RefactorSchedule, "__init__", counting)
+    circuit, spec = build_rc_ladder(4)
+    names = [element.name for element in circuit
+             if type(element).__name__ in ("Resistor", "Capacitor")][:5]
+    space = ParameterSpace(circuit, {name: 0.1 for name in names})
+    ensemble_sweep(circuit, spec, np.logspace(1, 7, 9), space, samples=8,
+                   seed=3, method="sparse")
+    assert len(compiled) == 1

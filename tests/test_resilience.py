@@ -18,6 +18,8 @@ The contract under test (ISSUE 7):
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -32,8 +34,7 @@ from repro.circuits import build_ua741
 from repro.circuits.rc_ladder import build_rc_ladder
 from repro.engine.resilience import (CONDITION_LIMIT, REFINEMENT_STEPS,
                                      REGULARIZATION, RESIDUAL_LIMIT,
-                                     SweepReport, _entry_residuals,
-                                     resilient_dense_solve,
+                                     STAGES, SweepReport, _entry_residuals,
                                      resilient_sparse_solve, scaled_residual,
                                      solve_stack_resilient)
 from repro.engine.session import AnalysisSession
@@ -120,6 +121,7 @@ class TestEscalationPolicy:
     """The fixed limits of the escalation chain."""
 
     def test_fixed_defaults(self):
+        assert STAGES == ("fast", "fresh", "regularized")
         assert RESIDUAL_LIMIT == 1e-8
         assert CONDITION_LIMIT == 1e13
         assert REFINEMENT_STEPS == 1
@@ -128,10 +130,10 @@ class TestEscalationPolicy:
     def test_escalated_ill_conditioned_solve_flagged_degraded(self):
         # Accepted at the first escalated stage, but its ~1e15 condition
         # estimate is over the limit: recorded as degraded, not rejected.
-        x, diagnostics = resilient_dense_solve(
-            np.array([[1.0, 0.0], [0.0, 1e-15]], dtype=complex),
+        x, diagnostics, __ = resilient_sparse_solve(
+            SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 1e-15]])),
             np.array([1.0, 1e-15], dtype=complex))
-        assert diagnostics.stage == "bitexact"
+        assert diagnostics.stage == "fresh"
         assert diagnostics.condition > CONDITION_LIMIT
         assert diagnostics.degraded
         np.testing.assert_allclose(x, [1.0, 1.0])
@@ -141,43 +143,53 @@ class TestEscalationPolicy:
 
 
 class TestResilientDenseSolve:
-    """The scalar escalation chain: bitexact → regularized."""
+    """A dense system through the one chain, as :func:`solve_stack_resilient`
+    escalates a failing member: ``SparseMatrix.from_dense``, then fresh →
+    regularized.  The rank-deficient ``[[1, 1], [1, 1]]`` systems reach the
+    consistency gate's global prong; the sparse class's zero pivot reaches
+    its componentwise one."""
 
-    def test_clean_system_accepted_bitexact(self):
+    def _solve(self, matrix, rhs):
+        return resilient_sparse_solve(SparseMatrix.from_dense(matrix), rhs)
+
+    def test_clean_system_accepted_fresh(self):
         rng = np.random.default_rng(0)
         matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         matrix += 4 * np.eye(4)
         rhs = rng.normal(size=4) + 0j
-        x, diagnostics = resilient_dense_solve(matrix, rhs)
-        assert diagnostics.stage == "bitexact"
+        x, diagnostics, pattern = self._solve(matrix, rhs)
+        assert diagnostics.stage == "fresh"
         assert diagnostics.escalations == ()
+        assert pattern is not None
         assert np.allclose(matrix @ x, rhs)
 
     def test_consistent_singular_recovered_by_regularization(self):
         matrix = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         rhs = np.array([2.0, 2.0], dtype=complex)
-        x, diagnostics = resilient_dense_solve(matrix, rhs)
+        x, diagnostics, pattern = self._solve(matrix, rhs)
         assert diagnostics.stage == "regularized"
-        assert any(record.stage == "bitexact"
-                   for record in diagnostics.escalations)
+        assert [record.stage for record in diagnostics.escalations] == [
+            "fresh"]
+        assert pattern is None
         assert np.allclose(matrix @ x, rhs)
 
     def test_inconsistent_singular_quarantined(self):
         matrix = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         rhs = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(SolveFailureError) as excinfo:
-            resilient_dense_solve(matrix, rhs)
+            self._solve(matrix, rhs)
         error = excinfo.value
         assert isinstance(error, SingularMatrixError)
         assert error.diagnostics is not None
         stages = [record.stage for record in error.diagnostics.escalations]
-        assert "bitexact" in stages and "regularized" in stages
+        assert stages == ["fresh", "regularized"]
 
     def test_non_finite_input_unrecoverable(self):
         matrix = np.eye(3, dtype=complex)
         matrix[0, 0] = np.nan
-        with pytest.raises(SolveFailureError, match="non-finite"):
-            resilient_dense_solve(matrix, np.ones(3, dtype=complex))
+        with pytest.raises(SolveFailureError, match="non-finite") as excinfo:
+            self._solve(matrix, np.ones(3, dtype=complex))
+        assert excinfo.value.diagnostics.escalations == ()
 
 
 class TestResilientSparseSolve:
@@ -487,6 +499,33 @@ class TestEnsembleQuarantine:
                     *arguments, values=values, method=method, shard_size=2,
                     workers=int(mode[-1]), on_failure="raise")
 
+    @pytest.mark.parametrize("mode", ["stored", "streaming", "workers=1",
+                                      "workers=2"])
+    def test_sparse_raise_mode_refuses_nan_member(self, ladder, mode):
+        # A NaN stamped into member 2 is refused before its pivot search, as
+        # the dense path and the escalation chain refuse it, and the error
+        # names the member by its place in the whole run.
+        circuit, spec, space = ladder
+        values = space.sample_values(4, seed=3)
+        arguments = (circuit, spec, FREQUENCIES, space)
+        with ensemble_faults({2: "nan"}, ensemble_values=values):
+            with pytest.raises(SingularMatrixError,
+                               match="ensemble member 2 ") as excinfo:
+                if mode == "stored":
+                    ensemble_sweep(*arguments, values=values,
+                                   method="sparse")
+                elif mode == "streaming":
+                    ensemble_sweep(*arguments, values=values,
+                                   method="sparse", store_responses=False,
+                                   shard_size=2)
+                else:
+                    parallel_ensemble_sweep(
+                        *arguments, values=values, method="sparse",
+                        shard_size=2, workers=int(mode[-1]),
+                        on_failure="raise")
+        if mode == "stored":
+            assert "non-finite" in str(excinfo.value.__cause__)
+
 
 class TestTransientFaults:
     """A kernel that fails once must recover bit-identically."""
@@ -577,6 +616,24 @@ class TestCheckpointedEnsembles:
             checkpointed_ensemble_sweep(circuit, spec, FREQUENCIES, space,
                                         path=str(path), samples=12, seed=3,
                                         shard_size=6)
+
+    def test_checkpoint_with_retired_stage_resumes(self, ladder, tmp_path):
+        # Earlier releases counted a dense "bitexact" stage in every report:
+        # such a checkpoint still resumes, keeping the counts it holds.
+        circuit, spec, space, path = self._valid_checkpoint(ladder, tmp_path)
+        with np.load(str(path), allow_pickle=False) as archive:
+            state = {key: archive[key] for key in archive.files}
+        report = json.loads(str(state["report_json"]))
+        report["stage_counts"]["bitexact"] = 0
+        state["report_json"] = np.array(json.dumps(report))
+        with open(str(path), "wb") as handle:
+            np.savez(handle, **state)
+        resumed = checkpointed_ensemble_sweep(
+            circuit, spec, FREQUENCIES, space, path=str(path), samples=12,
+            seed=3, shard_size=6)
+        assert resumed.finished and resumed.resumed_from == 6
+        assert resumed.report.stage_counts["bitexact"] == 0
+        assert resumed.report.stage_counts["fast"] == 12 * len(FREQUENCIES)
 
     def test_corrupt_checkpoint_rejected(self, ladder, tmp_path):
         circuit, spec, space = ladder
