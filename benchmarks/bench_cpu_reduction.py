@@ -9,8 +9,6 @@ interpolation points (hence LU factorizations) drops when deflation is on and
 it starts.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.interpolation.adaptive import AdaptiveOptions, AdaptiveScalingInterpolator

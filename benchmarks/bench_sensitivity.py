@@ -5,8 +5,9 @@ computation rebuilds the circuit and runs a full AC sweep twice per candidate
 — ``2·E·F`` complete MNA assemblies and factorizations.  The rank-1 engine
 factors the *baseline* once per frequency batch and obtains every element's
 removal / perturbation response from the cached factors via Sherman–Morrison
-in O(n²) per element (:mod:`repro.linalg.rank1`,
-:func:`repro.analysis.sensitivity.screen_elements`).
+in O(n²) per element (:func:`repro.analysis.sensitivity.screen_elements`,
+which applies the update inline, vectorized over the sweep and blocks of
+elements).
 
 Asserted here (the PR 2 acceptance criteria):
 

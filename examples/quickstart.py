@@ -10,8 +10,6 @@ Run with::
     python examples/quickstart.py
 """
 
-import math
-
 import numpy as np
 
 from repro import build_rc_ladder, generate_reference

@@ -11,8 +11,6 @@ Run with::
     python examples/sbg_reduction.py
 """
 
-import math
-
 import numpy as np
 
 from repro import build_miller_ota, generate_reference

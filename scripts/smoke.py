@@ -2,10 +2,7 @@
 import math
 import time
 
-import numpy as np
-
 from repro import (
-    TransferSpec,
     build_positive_feedback_ota,
     build_rc_ladder,
     build_ua741,
@@ -13,7 +10,7 @@ from repro import (
     interpolate_network_function,
 )
 from repro.circuits.rc_ladder import rc_ladder_denominator_coefficients
-from repro.interpolation import AdaptiveOptions, ScaleFactors
+from repro.interpolation import ScaleFactors
 from repro.nodal.sampler import NetworkFunctionSampler
 from repro.netlist.transform import to_admittance_form
 

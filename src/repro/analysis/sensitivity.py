@@ -13,7 +13,8 @@ Two engines compute those responses:
     ``Δy(s)·u·vᵀ`` (:meth:`repro.mna.builder.MnaSystem.element_stamp`), so
     its removal (``Δy = −y``) and perturbation (``Δy = p·y``) responses follow
     from the *baseline* factorization via the Sherman–Morrison formula
-    (:mod:`repro.linalg.rank1`) in O(n²) per element — the baseline is
+    ``x = x₀ − (Δy·vᵀx₀) / (1 + Δy·vᵀw) · w`` with ``x₀ = A⁻¹b`` and
+    ``w = A⁻¹u``, in O(n²) per element — the baseline is
     factored once per frequency batch (:func:`repro.mna.solve.ac_factor_sweep`)
     and all elements are screened against the cached factors, vectorized over
     both the frequency batch and blocks of elements.  A vanishing

@@ -6,7 +6,7 @@ element screening, AC verification sweeps — reduces to "evaluate the same
 conditions".  This package owns that machinery once, for every formulation:
 
 * :mod:`repro.engine.formulation` — the :class:`~repro.engine.formulation.Formulation`
-  protocol (sparse ``(G, C)`` parts, dimension, ``element_stamp``) plus the
+  protocol (sparse ``(G, C)`` parts, dimension, assembly) plus the
   :class:`~repro.engine.formulation.FormulationBase` mixin providing shared
   assembly: cached dense parts, single-point sparse assembly, batched
   ``(K, n, n)`` stack assembly and the cached union sparsity structure.
@@ -14,9 +14,10 @@ conditions".  This package owns that machinery once, for every formulation:
   :class:`repro.nodal.admittance.NodalFormulation` both implement it.
 * :mod:`repro.engine.sweep` — the batched frequency-sweep core:
   dense/sparse dispatch against :mod:`repro.linalg.config`, chunked batched
-  LU, numeric refactorization with pivot-pattern reuse, and
-  :class:`~repro.engine.sweep.SweepFactors` (kept factors with batched
-  ``solve`` / ``solve_columns`` and bit-exact per-point member views).
+  LU, the one sparse refactorization (a compiled
+  :class:`~repro.linalg.lu.RefactorSchedule` per pivot order, replayed on
+  chunks of points), and :class:`~repro.engine.sweep.SweepFactors` (kept
+  factors with batched ``solve`` / ``solve_columns``).
   ``mna.ac_sweep`` / ``ac_factor_sweep``, the sweeps of
   ``nodal.NetworkFunctionSampler`` and the rank-1 sensitivity screening are
   thin adapters over this module.

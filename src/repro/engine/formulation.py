@@ -2,12 +2,11 @@
 
 A *formulation* is an assembled linear-system description ``A(s) = g·G + s·f·C``
 over some unknown vector, together with enough structure for the sweep engine
-to factor and update it: the sparse ``(G, C)`` parts, the dimension, and
-per-element rank-1 stamps.  :class:`repro.mna.builder.MnaSystem` (node
-voltages + branch currents, no scaling) and
-:class:`repro.nodal.admittance.NodalFormulation` (unknown node voltages with
-Eq. (11) conductance / frequency scaling and forced-column RHS projection)
-are the two implementations.
+to factor it: the sparse ``(G, C)`` parts and the dimension.
+:class:`repro.mna.builder.MnaSystem` (node voltages + branch currents, no
+scaling) and :class:`repro.nodal.admittance.NodalFormulation` (unknown node
+voltages with Eq. (11) conductance / frequency scaling and forced-column RHS
+projection) are the two implementations.
 
 :class:`FormulationBase` carries the assembly-adjacent logic both builders
 used to duplicate: cached dense ``(G, C)`` arrays, single-point sparse
@@ -48,11 +47,6 @@ class Formulation(Protocol):
     def assemble_batch(self, s_values, conductance_scale=1.0,
                        frequency_scale=1.0) -> np.ndarray:
         """``g·G + s_k·f·C`` for every ``s_k`` as one ``(K, n, n)`` stack."""
-
-    def element_stamp(self, name):
-        """One element's rank-1 contribution as a
-        :class:`~repro.linalg.rank1.Rank1Stamp` (raises
-        :class:`~repro.errors.FormulationError` for unstampable types)."""
 
 
 class FormulationBase:

@@ -42,7 +42,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import SingularMatrixError, SolveFailureError
-from ..linalg.dense import batched_solve
+from ..linalg.dense import batched_solve, solve_members
 from ..linalg.lu import sparse_lu
 from ..linalg.sparse import SparseMatrix
 
@@ -653,13 +653,7 @@ def solve_stack_resilient(stack, rhs, report, indexer) -> np.ndarray:
         except SingularMatrixError:
             # Re-solve members one by one: zgesv results are batch-size
             # invariant, so healthy members reproduce the fault-free bits.
-            solutions = np.full((batch, n), np.nan, dtype=complex)
-            for member in range(batch):
-                try:
-                    solutions[member] = batched_solve(
-                        stack[member:member + 1], rhs_stack[member])[0]
-                except SingularMatrixError:
-                    singular[member] = True
+            solutions, singular = solve_members(stack, rhs_stack)
 
     finite = np.all(np.isfinite(solutions), axis=1)
     checked = np.where(finite[:, None], solutions, 0.0)

@@ -8,13 +8,12 @@ artifacts behind a **content hash** of the circuit (plus the transfer spec /
 sweep grid where relevant), so any stage that asks for something an earlier
 stage already built gets the cached object back:
 
-* assembled :class:`~repro.mna.builder.MnaSystem` /
-  :class:`~repro.nodal.admittance.NodalFormulation` instances,
+* assembled :class:`~repro.mna.builder.MnaSystem` instances and
+  admittance-form circuits,
 * kept sweep factorizations (:class:`~repro.engine.sweep.SweepFactors`),
   the expensive part of every AC / screening pass,
-* :class:`~repro.nodal.sampler.NetworkFunctionSampler` instances (which carry
-  their own batch engine and pivot pattern),
-* full :class:`~repro.interpolation.reference.NumericalReference` results,
+* full :class:`~repro.interpolation.reference.NumericalReference` results
+  and element screenings,
 * symbolic artifacts: :class:`~repro.symbolic.matrix.SymbolicNodal`
   matrices, :class:`~repro.symbolic.kernel.DeterminantEngine` instances
   (with their minor memos) and finished
@@ -49,10 +48,11 @@ __all__ = ["AnalysisSession"]
 _MAX_SWEEP_ENTRIES = 16
 
 #: Estimated retained-factor budget across all cached sweeps (~256 MB).  A
-#: sweep's factors cost about ``num_points · n² · 16`` bytes on the dense
-#: path; sparse sweeps are costed by their actual stored entries — pricing
-#: them at n² would evict every sweep of a post-layout-scale network even
-#: though ordered sparse factors stay near ``nnz + fill`` per point.
+#: sweep is costed by the memory its kept chunks report: about
+#: ``num_points · n² · 16`` bytes on the dense path, and the stored entries
+#: on the sparse path — pricing those at n² would evict every sweep of a
+#: post-layout-scale network even though ordered sparse factors stay near
+#: ``nnz + fill`` per point.
 _MAX_SWEEP_BYTES = 256 * 1024 * 1024
 
 #: Compiled transfer models carry dense (groups × free-symbols) incidence
@@ -63,9 +63,7 @@ _MAX_COMPILED_ENTRIES = 16
 
 
 def _sweep_cost_bytes(sweep) -> int:
-    """Pessimistic estimate of one kept sweep's factor memory."""
-    if sweep.is_dense:
-        return sweep.num_points * sweep.dimension * sweep.dimension * 16
+    """Memory held by one kept sweep's factor chunks."""
     return sum(chunk.nbytes for __, chunk in sweep.factors)
 
 
@@ -80,8 +78,6 @@ class AnalysisSession:
 
     def __init__(self):
         self._mna: Dict[str, object] = {}
-        self._nodal: Dict[Tuple, object] = {}
-        self._samplers: Dict[Tuple, object] = {}
         self._sweeps: Dict[Tuple, object] = {}
         self._references: Dict[Tuple, object] = {}
         self._admittance: Dict[Tuple, object] = {}
@@ -211,26 +207,6 @@ class AnalysisSession:
         return self._get(self._admittance, key,
                          lambda: to_admittance_form(
                              circuit, merge_parallel=merge_parallel))
-
-    def nodal_formulation(self, circuit, spec):
-        """The admittance-form circuit's
-        :class:`~repro.nodal.admittance.NodalFormulation` for ``spec``."""
-        from ..nodal.admittance import build_nodal_formulation
-
-        key = (self.fingerprint(circuit), self._spec_key(spec))
-        return self._get(self._nodal, key,
-                         lambda: build_nodal_formulation(circuit, spec))
-
-    def sampler(self, circuit, spec, method="auto"):
-        """A :class:`~repro.nodal.sampler.NetworkFunctionSampler` over the
-        cached nodal formulation (``circuit`` must be in admittance form)."""
-        from ..nodal.sampler import NetworkFunctionSampler
-
-        formulation = self.nodal_formulation(circuit, spec)
-        key = (self.fingerprint(circuit), self._spec_key(spec), method)
-        return self._get(self._samplers, key,
-                         lambda: NetworkFunctionSampler(circuit, formulation,
-                                                        method=method))
 
     def reference(self, circuit, spec, options=None, method="auto",
                   admittance_transform=True, merge_parallel=False):
@@ -450,10 +426,10 @@ class AnalysisSession:
         return sum(len(cache) for cache in self._caches())
 
     def _caches(self):
-        return (self._mna, self._nodal, self._samplers, self._sweeps,
-                self._references, self._admittance, self._screenings,
-                self._symbolic_nodal, self._symbolic_engines,
-                self._symbolic_transfers, self._compiled)
+        return (self._mna, self._sweeps, self._references, self._admittance,
+                self._screenings, self._symbolic_nodal,
+                self._symbolic_engines, self._symbolic_transfers,
+                self._compiled)
 
     def invalidate(self, circuit=None):
         """Drop cached artifacts — of one circuit, or everything.

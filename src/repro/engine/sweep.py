@@ -41,7 +41,7 @@ import numpy as np
 from ..errors import FormulationError, SingularMatrixError
 from ..linalg.config import dense_cutoff, use_dense
 from ..linalg.dense import batched_dense_lu, sweep_chunk_size
-from ..linalg.lu import sparse_lu_reusing
+from ..linalg.lu import RefactorSchedule, sparse_lu_reusing
 from ..linalg.ordering import fill_reducing_order
 from ..linalg.sparse import SparseMatrix
 from .resilience import (RESIDUAL_LIMIT, EscalationRecord, _entry_residuals,
@@ -169,9 +169,9 @@ class SweepEngine:
 
         Like :meth:`dense_chunks`: each chunk factors ``factors.batch``
         consecutive points and offers batched ``solve`` /
-        ``solve_matrix`` / ``determinants_mantissa_exponent`` plus scalar
-        ``member`` views.  The values ``g·G + s_k·f·C`` are filled straight
-        from the formulation's merged structure.
+        ``solve_matrix`` / ``determinants_mantissa_exponent``.  The values
+        ``g·G + s_k·f·C`` are filled straight from the formulation's merged
+        structure.
         """
         keys, constant_values, dynamic_values = (
             self.formulation.merged_sparse_structure())
@@ -183,13 +183,13 @@ class SweepEngine:
     def _sparse_chunks(self, keys, base, dynamic, factors):
         """Factor ``base + factors[k]·dynamic`` for every ``k``, in chunks.
 
-        Without a pivot pattern (the engine's first point, or the point
-        after a degraded one) the ordered pivot search runs on one point and
+        Without a pivot pattern (the engine's first point, or a degraded
+        point) the ordered pivot search
+        (:func:`~repro.linalg.lu.sparse_lu_reusing`) runs on one point and
         its scalar factorization serves that point.  Otherwise the
         pattern's compiled schedule factors a chunk of points at once; the
         healthy members before the first degraded one are yielded and the
-        pattern is dropped, so the degraded point gets the pivot search —
-        the rule of the per-point :func:`~repro.linalg.lu.sparse_lu_reusing`.
+        pattern is dropped, so the degraded point gets the pivot search.
         """
         n = self.formulation.dimension
         order = self.column_order()
@@ -200,7 +200,7 @@ class SweepEngine:
                 matrix = SparseMatrix.from_entries(n, n,
                                                    zip(keys, values.tolist()))
                 factorization, self._sparse_pattern, __ = sparse_lu_reusing(
-                    matrix, None, column_order=order)
+                    matrix, order)
                 self.factorization_count += 1
                 yield start, _PivotSearchPoint(factorization)
                 start += 1
@@ -305,7 +305,9 @@ class SweepEngine:
         pattern = self._sparse_pattern
         plan_key = (pattern.pivot_rows, pattern.pivot_cols, keys)
         if self._refactor_plan is None or self._refactor_plan[0] != plan_key:
-            schedule = pattern.refactor_schedule(keys)
+            schedule = RefactorSchedule(self.formulation.dimension,
+                                        pattern.pivot_rows,
+                                        pattern.pivot_cols, keys)
             self._refactor_plan = (plan_key, schedule,
                                    schedule.slots_of(keys))
         return self._refactor_plan[1:]
@@ -339,7 +341,7 @@ class SweepEngine:
         """Factor at every point and *keep* the factors (see :class:`SweepFactors`)."""
         s = np.asarray(list(s), dtype=complex)
         factors = list(self._chunks(s, conductance_scale, frequency_scale))
-        return SweepFactors(self.formulation, s, self.is_dense, factors)
+        return SweepFactors(self.formulation, s, factors)
 
     def _chunks(self, s, conductance_scale, frequency_scale):
         """:meth:`dense_chunks` or :meth:`sparse_factors`, as dispatched."""
@@ -363,10 +365,9 @@ class SweepFactors:
     :func:`repro.mna.solve.ac_factor_sweep` adapter).
     """
 
-    def __init__(self, formulation, s_values, is_dense, factors):
+    def __init__(self, formulation, s_values, factors):
         self.formulation = formulation
         self.s_values = s_values
-        self.is_dense = is_dense
         #: ``(start_index, chunk)`` pairs covering the sweep in order.
         self.factors = factors
 
@@ -410,24 +411,8 @@ class SweepFactors:
                 factorization.solve_matrix(columns))
         return solutions
 
-    def members(self):
-        """Yield one scalar factorization per sweep point, in order.
-
-        Dense chunks are exposed through
-        :meth:`~repro.linalg.dense.BatchedDenseLU.member` views, whose
-        determinant / substitution arithmetic is bit-for-bit the per-point
-        :func:`~repro.linalg.dense.dense_lu` path; sparse ones through
-        :meth:`~repro.linalg.lu.BatchedSparseLU.member` views, bit-for-bit
-        the chunk's own arithmetic.
-        """
-        for __, factorization in self.factors:
-            for index in range(factorization.batch):
-                yield factorization.member(index)
-
     def __repr__(self):
-        kind = "dense" if self.is_dense else "sparse"
-        return (f"SweepFactors(n={self.dimension}, points={self.num_points}, "
-                f"path={kind!r})")
+        return f"SweepFactors(n={self.dimension}, points={self.num_points})"
 
 
 def _frequency_factors(s, frequency_scale):
@@ -452,9 +437,6 @@ class _PivotSearchPoint:
     @property
     def nbytes(self):
         return self.factorization.nbytes
-
-    def member(self, index):
-        return self.factorization
 
     def determinants_mantissa_exponent(self):
         mantissa, exponent = self.factorization.determinant_mantissa_exponent()

@@ -11,35 +11,30 @@ substrate from scratch:
 * :func:`~repro.linalg.lu.sparse_lu` — sparse LU factorization with Markowitz
   (threshold) pivoting, producing determinants with decimal-exponent tracking
   so very large / very small determinants never overflow,
-* :func:`~repro.linalg.lu.sparse_lu_refactor` — numeric refactorization that
-  reuses the pivot order of a previous factorization, the factor-once /
-  refactor-many primitive of the batched frequency-sweep engine,
+* :class:`~repro.linalg.lu.RefactorSchedule` — a pivot order compiled once
+  and replayed on a whole chunk of sweep points at a time, the one numeric
+  refactorization (the factor-once / refactor-many primitive of the batched
+  frequency-sweep engine),
 * :func:`~repro.linalg.ordering.fill_reducing_order` — the approximate
   minimum-degree (AMD) elimination order every sparse sweep factors along,
 * :func:`~repro.linalg.dense.dense_lu` — a dense LU with partial pivoting,
   the scalar reference the batched kernel and the tests compare against,
 * :func:`~repro.linalg.dense.batched_dense_lu` — the same dense algorithm
-  vectorized over a whole stack of sweep matrices at once,
-* :func:`~repro.linalg.rank1.rank1_update_solve` — Sherman–Morrison solve of
-  a rank-1-modified system ``(A + Δy·u·vᵀ) x = b`` in O(n²) from any cached
-  factorization (dense, batched, or sparse), the kernel of the element
-  sensitivity screening.
+  vectorized over a whole stack of sweep matrices at once.
 """
 
 from .config import DEFAULT_DENSE_CUTOFF, dense_cutoff
 from .sparse import SparseMatrix
-from .lu import sparse_lu, sparse_lu_refactor, LUFactorization
+from .lu import sparse_lu, LUFactorization
 from .ordering import (fill_reducing_order, inverse_permutation,
                        permute_symmetric)
 from .dense import dense_lu, DenseLU, batched_dense_lu, BatchedDenseLU
-from .rank1 import Rank1Stamp, rank1_update_solve
 
 __all__ = [
     "DEFAULT_DENSE_CUTOFF",
     "dense_cutoff",
     "SparseMatrix",
     "sparse_lu",
-    "sparse_lu_refactor",
     "LUFactorization",
     "fill_reducing_order",
     "inverse_permutation",
@@ -48,6 +43,4 @@ __all__ = [
     "DenseLU",
     "batched_dense_lu",
     "BatchedDenseLU",
-    "Rank1Stamp",
-    "rank1_update_solve",
 ]

@@ -20,10 +20,9 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import LinAlgError, SingularMatrixError
-from ..xfloat import TrackedDeterminant
 
 __all__ = ["dense_lu", "DenseLU", "batched_dense_lu", "BatchedDenseLU",
-           "batched_solve", "sweep_chunk_size"]
+           "batched_solve", "solve_members", "sweep_chunk_size"]
 
 #: Complex entries per assembled dense sweep chunk (~64 MB): sweeps longer
 #: than this per-matrix budget are factored chunk by chunk so memory stays
@@ -37,7 +36,7 @@ def sweep_chunk_size(dimension) -> int:
     return max(1, _SWEEP_CHUNK_ELEMENTS // (dimension * dimension))
 
 
-class DenseLU(TrackedDeterminant):
+class DenseLU:
     """Result of :func:`dense_lu`: packed LU factors plus the row permutation."""
 
     def __init__(self, lu, permutation, n_swaps):
@@ -80,14 +79,6 @@ class DenseLU(TrackedDeterminant):
                                           pivot_index=i, dimension=self.n)
             work[i] /= pivot
         return work
-
-    def solve_many(self, rhs_matrix):
-        """Solve ``A X = B`` column by column."""
-        rhs_matrix = np.asarray(rhs_matrix, dtype=complex)
-        if rhs_matrix.ndim == 1:
-            return self.solve(rhs_matrix)
-        columns = [self.solve(rhs_matrix[:, j]) for j in range(rhs_matrix.shape[1])]
-        return np.column_stack(columns)
 
 
 def dense_lu(matrix):
@@ -153,6 +144,11 @@ class BatchedDenseLU:
         self.singular = singular
         self.batch = lu.shape[0]
         self.n = lu.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        """Memory held by the stacked factors and permutations."""
+        return self.lu.nbytes + self.permutations.nbytes
 
     def member(self, index) -> "DenseLU":
         """The ``index``-th matrix's factors as a scalar :class:`DenseLU` view.
@@ -292,11 +288,10 @@ def batched_solve(stack, rhs) -> np.ndarray:
     Raises
     ------
     SingularMatrixError
-        When any matrix of the stack is exactly singular.  The exception's
-        ``batch_index`` attribute carries the index of the first offender
-        (``None`` when LAPACK flagged the stack but no exactly-zero pivot
-        was found), so callers can name the failing member without
-        re-factoring the stack.
+        When LAPACK finds a matrix of the stack singular.  The exception's
+        ``batch_index`` attribute carries the index of the first offender,
+        located by :func:`solve_members`, so callers can name the failing
+        member without re-factoring the stack.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -315,17 +310,34 @@ def batched_solve(stack, rhs) -> np.ndarray:
     try:
         return np.linalg.solve(stack, columns)[:, :, 0]
     except np.linalg.LinAlgError as error:
-        # Locate the offending matrix for a precise diagnostic (the gufunc
-        # reports only that *some* member is singular).
-        factorization = batched_dense_lu(stack)
-        if factorization.singular.any():
-            index = int(np.argmax(factorization.singular))
-            raise SingularMatrixError(
-                f"matrix {index} of the batch is singular",
-                batch_index=index, dimension=n) from error
+        # The gufunc reports only that *some* member is singular.  LAPACK
+        # factors each member on its own, so the member that fails alone is
+        # the one that failed the stack.
+        index = int(np.argmax(solve_members(stack, columns[:, :, 0])[1]))
         raise SingularMatrixError(
-            "a matrix of the batch is numerically singular",
-            dimension=n) from error
+            f"matrix {index} of the batch is singular",
+            batch_index=index, dimension=n) from error
+
+
+def solve_members(stack, rhs_stack):
+    """Solve each matrix of a ``(B, n, n)`` stack alone with LAPACK.
+
+    Every member is solved as a one-member :func:`batched_solve` stack would
+    be, so it keeps the bits it has inside any batch.  Returns the ``(B, n)``
+    solutions, NaN rows where a member is singular, and the ``(B,)`` mask of
+    those members.
+    """
+    batch, n = stack.shape[0], stack.shape[1]
+    solutions = np.full((batch, n), np.nan, dtype=complex)
+    singular = np.zeros(batch, dtype=bool)
+    for member in range(batch):
+        try:
+            solutions[member] = np.linalg.solve(
+                stack[member:member + 1],
+                rhs_stack[member, None, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[member] = True
+    return solutions, singular
 
 
 def batched_dense_lu(stack, overwrite=False) -> BatchedDenseLU:

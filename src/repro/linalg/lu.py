@@ -11,10 +11,10 @@ Two results matter downstream:
 
 * :meth:`LUFactorization.solve` — solve ``A x = b`` (Eq. 7 of the paper) to
   obtain the network function value at one interpolation point,
-* :meth:`LUFactorization.determinant` — ``det(A)`` as the product of pivots
-  (Eq. 9), tracked as a complex mantissa plus a decimal exponent so that very
-  large or very small determinants (routine for scaled admittance matrices)
-  never overflow IEEE doubles.
+* :meth:`LUFactorization.determinant_mantissa_exponent` — ``det(A)`` as the
+  product of pivots (Eq. 9), tracked as a complex mantissa plus a decimal
+  exponent so that very large or very small determinants (routine for scaled
+  admittance matrices) never overflow IEEE doubles.
 
 :func:`sparse_lu` is the pivot search.  Every other matrix of a sweep shares
 its structure, so :class:`RefactorSchedule` compiles the pivot order it found
@@ -22,7 +22,9 @@ its structure, so :class:`RefactorSchedule` compiles the pivot order it found
 :meth:`RefactorSchedule.factor` replays it on a ``(points, slots)`` value
 array, vectorized over every sweep point at once (the factor-once /
 refactor-many split of KLU; Davis & Palamadai Natarajan, ACM TOMS 36(3),
-2010).  :func:`sparse_lu_refactor` is a batch of one through the same kernel.
+2010).  That replay is the one refactorization entry point: the sweep engine
+(:mod:`repro.engine.sweep`) compiles a schedule per pivot order and refactors
+every point through it.
 """
 
 from __future__ import annotations
@@ -33,16 +35,19 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import LinAlgError, SingularMatrixError
-from ..xfloat import TrackedDeterminant, decimal_complex
 
-__all__ = ["sparse_lu", "sparse_lu_refactor", "sparse_lu_reusing",
-           "LUFactorization", "RefactorSchedule", "BatchedSparseLU",
-           "SparseLUMember"]
+__all__ = ["sparse_lu", "sparse_lu_reusing", "LUFactorization",
+           "RefactorSchedule", "BatchedSparseLU"]
 
 #: Relative threshold ``u`` for numerically acceptable pivots: a candidate
 #: ``a_ij`` is acceptable when ``|a_ij| >= u * max_i |a_ij|`` over its active
 #: column.  Smaller values favour sparsity over numerical safety.
 PIVOT_THRESHOLD = 0.1
+
+#: A reused pivot is rejected when its magnitude falls below this fraction of
+#: the largest magnitude in its column over the remaining rows, so the point
+#: gets a fresh pivot search instead of a division by a collapsed pivot.
+REFACTOR_STABILITY = 1e-8
 
 #: Pivots whose normalized mantissas (magnitude in ``[1, 10)``) are
 #: multiplied before renormalizing: their product stays below ``1e256``.
@@ -67,7 +72,7 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-class LUFactorization(TrackedDeterminant):
+class LUFactorization:
     """Result of :func:`sparse_lu`.
 
     The factorization stores, per elimination step ``k``:
@@ -88,21 +93,6 @@ class LUFactorization(TrackedDeterminant):
         self.eliminations = eliminations
         self.upper_rows = upper_rows
         self.fill_in = fill_in
-        self._schedule = None
-
-    def refactor_schedule(self, keys) -> "RefactorSchedule":
-        """This pivot order compiled over a structure covering ``keys``.
-
-        Compiled on first use and kept: later calls whose keys the kept
-        schedule already covers reuse it, others recompile it over the union
-        of both structures.
-        """
-        if self._schedule is None:
-            self._schedule = RefactorSchedule(self.n, self.pivot_rows,
-                                              self.pivot_cols, keys)
-        else:
-            self._schedule = self._schedule.covering(keys)
-        return self._schedule
 
     @property
     def nbytes(self) -> int:
@@ -447,17 +437,6 @@ class RefactorSchedule:
         self.member_bytes = (16 * (self.slots + len(self.keys)
                                    + 2 * peak_update + 4 * n) + 8 * n)
 
-    def covers(self, keys) -> bool:
-        """True when every ``(row, col)`` of ``keys`` has a slot."""
-        return all(key in self._slot for key in keys)
-
-    def covering(self, keys) -> "RefactorSchedule":
-        """This schedule, or one compiled over its structure plus ``keys``."""
-        if self.covers(keys):
-            return self
-        return RefactorSchedule(self.n, self.pivot_rows, self.pivot_cols,
-                                self.keys + tuple(keys))
-
     def slots_of(self, keys) -> np.ndarray:
         """Slot index of every ``(row, col)`` of ``keys``.
 
@@ -477,14 +456,15 @@ class RefactorSchedule:
         """Members per batch whose modelled working memory fits the budget."""
         return max(1, int(budget_bytes) // self.member_bytes)
 
-    def factor(self, values, slots, stability=1e-8) -> "BatchedSparseLU":
+    def factor(self, values, slots) -> "BatchedSparseLU":
         """Factor ``(points, entries)`` matrix values along the pivot order.
 
         ``values[b, e]`` is entry ``e`` of matrix ``b``, stored at slot
         ``slots[e]`` (see :meth:`slots_of`); entries not given are zero.  A
-        member whose reused pivot is zero, or smaller than ``stability``
-        times the largest remaining magnitude in its column, is flagged in
-        :attr:`BatchedSparseLU.failed_step` rather than raising.
+        member whose reused pivot is zero, or smaller than
+        :data:`REFACTOR_STABILITY` times the largest remaining magnitude in
+        its column, is flagged in :attr:`BatchedSparseLU.failed_step` rather
+        than raising.
         """
         values = np.asarray(values, dtype=complex)
         if values.ndim != 2 or values.shape[1] != len(slots):
@@ -504,19 +484,18 @@ class RefactorSchedule:
                     lu[:, targets] -= (multipliers[:, :, None]
                                        * lu[:, None, upper]).reshape(batch, -1)
         pivots = lu[:, self.pivot_slots]
-        failed = pivots == 0
-        if stability:
-            failed |= np.abs(pivots) < stability * column_max
+        failed = ((pivots == 0)
+                  | (np.abs(pivots) < REFACTOR_STABILITY * column_max))
         failed_step = np.where(failed.any(axis=1), failed.argmax(axis=1), -1)
-        return BatchedSparseLU(self, lu, pivots, failed_step, stability)
+        return BatchedSparseLU(self, lu, pivots, failed_step)
 
 
 class BatchedSparseLU:
     """``B`` numeric factorizations sharing one :class:`RefactorSchedule`.
 
     The result of :meth:`RefactorSchedule.factor`, with the interface of
-    :class:`~repro.linalg.dense.BatchedDenseLU`: vectorized determinants,
-    solves over the batch and scalar :meth:`member` views.
+    :class:`~repro.linalg.dense.BatchedDenseLU`: vectorized determinants and
+    solves over the batch.
 
     Attributes
     ----------
@@ -530,12 +509,11 @@ class BatchedSparseLU:
         degraded members are meaningless (solves return zero rows).
     """
 
-    def __init__(self, schedule, lu, pivots, failed_step, stability):
+    def __init__(self, schedule, lu, pivots, failed_step):
         self.schedule = schedule
         self.lu = lu
         self.pivots = pivots
         self.failed_step = failed_step
-        self.stability = stability
         self.batch = lu.shape[0]
         self.n = schedule.n
 
@@ -554,38 +532,10 @@ class BatchedSparseLU:
         degraded = self.degraded
         return int(np.argmax(degraded)) if degraded.any() else self.batch
 
-    def _take(self, members) -> "BatchedSparseLU":
-        return BatchedSparseLU(self.schedule, self.lu[members],
-                               self.pivots[members],
-                               self.failed_step[members], self.stability)
-
     def head(self, count) -> "BatchedSparseLU":
         """The first ``count`` members (views, no copy)."""
-        return self._take(slice(0, count))
-
-    def member(self, index) -> "SparseLUMember":
-        """The ``index``-th factorization as a scalar view."""
-        return SparseLUMember(self._take(slice(index, index + 1)))
-
-    def check(self, index):
-        """Raise :class:`SingularMatrixError` if member ``index`` degraded.
-
-        The messages are the scalar refactorization's: callers fall back to
-        a fresh :func:`sparse_lu` (new pivot order).
-        """
-        step = int(self.failed_step[index])
-        if step < 0:
-            return
-        row = self.schedule.pivot_rows[step]
-        col = self.schedule.pivot_cols[step]
-        if self.pivots[index, step] == 0:
-            message = f"reused pivot ({row}, {col}) is zero at step {step}"
-        else:
-            message = (f"reused pivot ({row}, {col}) lost "
-                       f"{1.0 / self.stability:.0e} of its column magnitude "
-                       f"at step {step}")
-        raise SingularMatrixError(f"{message}; refactor with fresh pivoting",
-                                  pivot_index=step, dimension=self.n)
+        return BatchedSparseLU(self.schedule, self.lu[:count],
+                               self.pivots[:count], self.failed_step[:count])
 
     def determinants_mantissa_exponent(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-member ``det(A)`` as ``(mantissas, exponents)`` arrays.
@@ -614,11 +564,6 @@ class BatchedSparseLU:
         healthy = ~self.degraded & np.isfinite(mantissa) & (mantissa != 0)
         return (np.where(healthy, mantissa, 0.0 + 0.0j),
                 np.where(healthy, exponent, 0.0).astype(np.int64))
-
-    def determinants(self) -> np.ndarray:
-        """Per-member ``det(A)`` as plain complex values (see
-        :func:`~repro.xfloat.decimal_complex`)."""
-        return decimal_complex(*self.determinants_mantissa_exponent())
 
     def solve(self, rhs) -> np.ndarray:
         """Solve ``A_b x_b = b_b`` for every member.
@@ -671,121 +616,16 @@ class BatchedSparseLU:
         return solution
 
 
-class SparseLUMember(TrackedDeterminant):
-    """One member of a :class:`BatchedSparseLU` as a scalar factorization.
+def sparse_lu_reusing(matrix, column_order=None):
+    """The sweep engine's pivot search: :func:`sparse_lu` along
+    ``column_order``.
 
-    Has the query interface of :class:`LUFactorization` (``solve``,
-    ``solve_many``, the determinant family, ``pivots``) and computes through
-    the batched kernel on a batch of one, so its results are bitwise those
-    of the batch it came from.
+    Returns ``(factorization, pattern, refactored)``, the factorization
+    twice and ``False``: every point the search serves starts a new pivot
+    pattern, and every other point is refactored by the pattern's compiled
+    :class:`RefactorSchedule`.  perfbench wraps this name and counts the
+    search from that tuple.
     """
-
-    def __init__(self, single):
-        self._single = single
-        self.n = single.n
-        self.pivot_rows = single.schedule.pivot_rows
-        self.pivot_cols = single.schedule.pivot_cols
-        self.fill_in = single.schedule.fill_in
-
-    @property
-    def pivots(self) -> List[complex]:
-        """Pivot values in elimination order."""
-        return self._single.pivots[0].tolist()
-
-    def determinant_mantissa_exponent(self) -> Tuple[complex, int]:
-        """``det(A)`` as ``(mantissa, exponent)``."""
-        mantissas, exponents = self._single.determinants_mantissa_exponent()
-        return complex(mantissas[0]), int(exponents[0])
-
-    def solve(self, rhs):
-        """Solve ``A x = b`` for a single right-hand side of length ``n``."""
-        rhs = np.asarray(rhs, dtype=complex)
-        if rhs.shape != (self.n,):
-            raise LinAlgError(
-                f"rhs has shape {rhs.shape}, expected ({self.n},)")
-        return self._single.solve(rhs)[0]
-
-    def solve_many(self, rhs_matrix):
-        """Solve ``A X = B``; ``rhs_matrix`` is ``n x m`` (or a vector)."""
-        rhs_matrix = np.asarray(rhs_matrix, dtype=complex)
-        if rhs_matrix.ndim == 1:
-            return self.solve(rhs_matrix)
-        return self._single.solve_matrix(rhs_matrix)[0]
-
-
-def sparse_lu_refactor(matrix, pattern, stability=1e-8) -> SparseLUMember:
-    """Refactor ``matrix`` numerically, reusing the pivot order of ``pattern``.
-
-    During a frequency sweep every matrix ``g·G + s_k·f·C`` shares one
-    sparsity structure, so the (expensive) pivot search only needs to run
-    once: subsequent points replay the same elimination order with fresh
-    numbers.  This is a batch of one through ``pattern``'s compiled
-    :class:`RefactorSchedule` (compiled on first use, recompiled over the
-    union when ``matrix`` brings entries outside it), so it agrees bit for
-    bit with the batched sweep paths.
-
-    Parameters
-    ----------
-    matrix:
-        Square :class:`~repro.linalg.sparse.SparseMatrix` of ``pattern``'s
-        dimension.
-    pattern:
-        An :class:`LUFactorization` whose ``pivot_rows`` / ``pivot_cols``
-        sequence is reused.
-    stability:
-        A pivot is rejected when its magnitude falls below ``stability`` times
-        the largest magnitude in its column over the remaining rows.  Callers
-        should fall back to a fresh :func:`sparse_lu` (new pivot order) on
-        :class:`~repro.errors.SingularMatrixError`.
-
-    Raises
-    ------
-    SingularMatrixError
-        When a reused pivot is zero or numerically unacceptable at the new
-        frequency point.
-    """
-    if matrix.n_rows != matrix.n_cols:
-        raise LinAlgError("LU refactorization requires a square matrix")
-    n = matrix.n_rows
-    if pattern.n != n:
-        raise LinAlgError(
-            f"pattern is for a {pattern.n}x{pattern.n} matrix, "
-            f"got {n}x{n}"
-        )
-    keys = []
-    values = []
-    for row, col, value in matrix.entries():
-        keys.append((row, col))
-        values.append(value)
-    schedule = pattern.refactor_schedule(keys)
-    factors = schedule.factor(np.array(values, dtype=complex)[None, :],
-                              schedule.slots_of(keys), stability=stability)
-    factors.check(0)
-    return factors.member(0)
-
-
-def sparse_lu_reusing(matrix, pattern, stability=1e-8, column_order=None):
-    """Factor ``matrix``, reusing ``pattern``'s pivot order when possible.
-
-    The factor-once / refactor-many policy shared by every sparse sweep path:
-    with no ``pattern`` (first point) run the full pivot search — along the
-    fill-reducing ``column_order`` when one is given, else the Markowitz
-    scan — otherwise refactor along the known pivot order, falling back to a
-    fresh factorization when a reused pivot is zero or numerically degraded.
-
-    Returns
-    -------
-    (LUFactorization, LUFactorization, bool)
-        The factorization, the pattern to reuse for the next point (a fresh
-        factorization replaces a degraded pattern), and whether the cheap
-        refactorization path was taken.
-    """
-    if pattern is not None:
-        try:
-            return (sparse_lu_refactor(matrix, pattern, stability=stability),
-                    pattern, True)
-        except SingularMatrixError:
-            pass
     factorization = sparse_lu(matrix, column_order=column_order)
     return factorization, factorization, False
 

@@ -3,8 +3,9 @@
 :class:`SparseMatrix` is intentionally simple: circuit matrices have at most a
 few thousand non-zeros, so a dict-of-keys representation with row-wise views is
 fast enough while keeping the LU code readable.  The class supports the
-operations the rest of the library needs: stamping (``add``), row/column
-queries, matrix-vector products, dense conversion and structural statistics.
+operations the rest of the library needs: stamping (``add``), row-wise
+views, matrix-vector products, scaling, diagonal shifts and dense
+conversion.
 """
 
 from __future__ import annotations
@@ -87,14 +88,6 @@ class SparseMatrix:
         matrix = cls(n_rows, n_cols)
         matrix._data = {key: complex(value) for key, value in entries
                         if value != 0}
-        return matrix
-
-    @classmethod
-    def identity(cls, n):
-        """The n×n identity matrix."""
-        matrix = cls(n, n)
-        for i in range(n):
-            matrix._data[(i, i)] = 1.0 + 0.0j
         return matrix
 
     def copy(self):
@@ -204,27 +197,6 @@ class SparseMatrix:
             rows[row][col] = value
         return rows
 
-    def columns(self) -> List[Dict[int, complex]]:
-        """Column-wise view: list of ``{row: value}`` dicts (copies)."""
-        cols: List[Dict[int, complex]] = [dict() for __ in range(self.n_cols)]
-        for (row, col), value in self._data.items():
-            cols[col][row] = value
-        return cols
-
-    def row_nnz(self) -> List[int]:
-        """Non-zero count per row."""
-        counts = [0] * self.n_rows
-        for (row, __) in self._data:
-            counts[row] += 1
-        return counts
-
-    def col_nnz(self) -> List[int]:
-        """Non-zero count per column."""
-        counts = [0] * self.n_cols
-        for (__, col) in self._data:
-            counts[col] += 1
-        return counts
-
     # -- arithmetic ------------------------------------------------------------
 
     def matvec(self, vector):
@@ -239,13 +211,6 @@ class SparseMatrix:
         for (row, col), value in self._data.items():
             result[row] += value * vector[col]
         return result
-
-    def transpose(self):
-        """Return the transpose as a new matrix."""
-        transposed = SparseMatrix(self.n_cols, self.n_rows)
-        for (row, col), value in self._data.items():
-            transposed._data[(col, row)] = value
-        return transposed
 
     def scaled(self, factor):
         """Return ``factor * self`` as a new matrix."""
@@ -273,27 +238,12 @@ class SparseMatrix:
                 result.add(index, index, shift)
         return result
 
-    def plus(self, other, factor=1.0):
-        """Return ``self + factor * other`` as a new matrix."""
-        if self.shape != other.shape:
-            raise LinAlgError("matrix shape mismatch in plus()")
-        result = self.copy()
-        for (row, col), value in other._data.items():
-            result.add(row, col, factor * value)
-        return result
-
     def to_dense(self):
         """Convert to a dense complex numpy array."""
         dense = np.zeros((self.n_rows, self.n_cols), dtype=complex)
         for (row, col), value in self._data.items():
             dense[row, col] = value
         return dense
-
-    def max_abs(self):
-        """Largest entry magnitude (0.0 for an empty matrix)."""
-        if not self._data:
-            return 0.0
-        return max(abs(value) for value in self._data.values())
 
     def __repr__(self):
         return (

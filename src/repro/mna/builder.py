@@ -20,7 +20,6 @@ import numpy as np
 
 from ..engine.formulation import FormulationBase
 from ..errors import FormulationError
-from ..linalg.rank1 import Rank1Stamp
 from ..linalg.sparse import SparseMatrix
 from ..netlist.elements import (
     CCCS,
@@ -36,11 +35,38 @@ from ..netlist.elements import (
     VoltageSource,
 )
 
-__all__ = ["MnaSystem", "build_mna_system", "system_dimension",
+__all__ = ["MnaSystem", "Rank1Stamp", "build_mna_system", "system_dimension",
            "stamp_element", "system_sparsity", "SparsitySummary"]
 
 #: Element types that require an auxiliary branch-current unknown.
 _BRANCH_TYPES = (VoltageSource, VCVS, CCVS, Inductor)
+
+
+@dataclasses.dataclass
+class Rank1Stamp:
+    """One element's matrix contribution ``(g + s·c) · u · vᵀ``.
+
+    Built by :meth:`MnaSystem.element_stamp`; the sensitivity screening
+    (:mod:`repro.analysis.sensitivity`) turns it into Sherman–Morrison
+    updates of the cached baseline factors.
+
+    Attributes
+    ----------
+    u, v:
+        Real incidence vectors over the system's unknowns (``u`` the row
+        pattern, ``v`` the column pattern; equal for two-terminal elements).
+    conductance:
+        Frequency-independent admittance ``g`` (conductance or
+        transconductance) of the element.
+    capacitance:
+        Frequency-proportional admittance ``c``; the element admittance is
+        ``y(s) = g + s·c``.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    conductance: float = 0.0
+    capacitance: float = 0.0
 
 
 class MnaSystem(FormulationBase):
@@ -109,7 +135,7 @@ class MnaSystem(FormulationBase):
         as ``u`` and the control incidence as ``v``).  With the returned stamp
         an element's removal or value change becomes a rank-1 update of the
         assembled matrix — ``A'(s) = A(s) + Δy(s)·u·vᵀ`` — locatable without
-        re-assembling the system (see :mod:`repro.linalg.rank1`).
+        re-assembling the system (see :mod:`repro.analysis.sensitivity`).
 
         Raises
         ------

@@ -191,20 +191,16 @@ def _solve_chunk(flat, rhs, describe):
     """Factor + solve one assembled ``(B, n, n)`` chunk.
 
     ``describe(index)`` gives the ``{member}`` text and the member of the
-    chunk's ``index``-th matrix (``index=None``: of the whole chunk).
+    chunk's ``index``-th matrix.
     """
     try:
         return batched_solve(flat, rhs)
     except SingularMatrixError as error:
         # batched_solve already located the offender; name the ensemble
         # sample and sweep point.
-        index = getattr(error, "batch_index", None)
-        text, member = describe(index)
-        if index is not None:
-            raise _member_error(f"{text} is singular", member,
-                                batch_index=index) from error
-        raise _member_error(f"{text} is numerically singular",
-                            member) from error
+        text, member = describe(error.batch_index)
+        raise _member_error(f"{text} is singular", member,
+                            batch_index=error.batch_index) from error
 
 
 def _default_workers() -> int:
@@ -251,7 +247,6 @@ def _dense_ensemble(system, program, s, values, terms, workers=None,
         solutions = solve(
             stack,
             describe=lambda index: (
-                "ensemble member {member}" if index is None else
                 f"ensemble member {{member}} at sweep point {start + index}",
                 sample),
             indexer=lambda member: (
@@ -275,10 +270,8 @@ def _dense_ensemble(system, program, s, values, terms, workers=None,
         solutions = solve(
             flat,
             describe=lambda index: (
-                ("ensemble chunk starting at sample {member}", start)
-                if index is None else
-                (f"ensemble member {{member}} at sweep point "
-                 f"{index % num_points}", start + index // num_points)),
+                f"ensemble member {{member}} at sweep point "
+                f"{index % num_points}", start + index // num_points),
             indexer=lambda member: (
                 start + member // num_points,
                 f"ensemble member {start + member // num_points} at "

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..engine.formulation import FormulationBase
 from ..errors import FormulationError
-from ..linalg.rank1 import Rank1Stamp
 from ..linalg.sparse import SparseMatrix
 from ..netlist.elements import (
     Capacitor,
@@ -204,69 +203,6 @@ class NodalFormulation(FormulationBase):
         if node not in self._index:
             raise FormulationError(f"node {node!r} is not an unknown")
         return self._index[node]
-
-    def element_stamp(self, name) -> Rank1Stamp:
-        """The rank-1 contribution ``(g + s·c)·u·vᵀ`` of one element.
-
-        ``u`` carries the element's row incidence over the unknown nodes
-        (forced and ground rows are dropped, exactly as the assembly drops
-        them) and ``v`` its column incidence; column entries on *forced* nodes
-        fold into :attr:`~repro.linalg.rank1.Rank1Stamp.rhs_projection`, the
-        incidence dotted with the forced voltages per unit drive.  A change
-        ``Δy(s)`` of the element (with the Eq. (11) scale factors applied)
-        therefore updates the reduced system as::
-
-            (A + Δy·u·vᵀ) x = rhs − Δy·rhs_projection·u
-
-        which :func:`repro.linalg.rank1.rank1_update_solve` handles in O(M²)
-        from the baseline factors.
-
-        Raises
-        ------
-        FormulationError
-            For element types without a rank-1 admittance stamp (sources,
-            inductors).
-        """
-        element = self.circuit[name]
-
-        def row_incidence(positive, negative):
-            vector = np.zeros(self.dimension)
-            for node, sign in ((positive, 1.0), (negative, -1.0)):
-                if node != GROUND and node not in self.forced:
-                    vector[self._index[node]] = sign
-            return vector
-
-        def col_incidence(positive, negative):
-            vector = np.zeros(self.dimension)
-            projection = 0.0 + 0.0j
-            for node, sign in ((positive, 1.0), (negative, -1.0)):
-                if node == GROUND:
-                    continue
-                if node in self.forced:
-                    projection += sign * self.forced[node]
-                else:
-                    vector[self._index[node]] = sign
-            return vector, projection
-
-        if isinstance(element, (Resistor, Conductor)):
-            u = row_incidence(element.node_pos, element.node_neg)
-            v, projection = col_incidence(element.node_pos, element.node_neg)
-            return Rank1Stamp(u=u, v=v, conductance=element.conductance,
-                              rhs_projection=projection)
-        if isinstance(element, Capacitor):
-            u = row_incidence(element.node_pos, element.node_neg)
-            v, projection = col_incidence(element.node_pos, element.node_neg)
-            return Rank1Stamp(u=u, v=v, capacitance=element.capacitance,
-                              rhs_projection=projection)
-        if isinstance(element, VCCS):
-            u = row_incidence(element.node_pos, element.node_neg)
-            v, projection = col_incidence(element.ctrl_pos, element.ctrl_neg)
-            return Rank1Stamp(u=u, v=v, conductance=element.gm,
-                              rhs_projection=projection)
-        raise FormulationError(
-            f"element {element.name!r} of type {type(element).__name__} does "
-            "not stamp as a rank-1 admittance outer product"
-        )
 
     # ------------------------------------------------------------------ #
 

@@ -20,14 +20,12 @@ division, addition, powers, comparisons, ``abs``, ``log10``) and converts to
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Union
 
 import numpy as np
 
-__all__ = ["XFloat", "xfloat", "log10_abs", "decimal_complex",
-           "TrackedDeterminant"]
+__all__ = ["XFloat", "xfloat", "log10_abs", "decimal_complex"]
 
 Number = Union[int, float, "XFloat"]
 
@@ -397,29 +395,3 @@ def decimal_complex(mantissa, exponent):
     value.imag = imag
     return complex(value) if value.ndim == 0 else value
 
-
-class TrackedDeterminant:
-    """Determinant queries of a factorization that tracks ``det(A)`` as
-    ``(mantissa, exponent)``.
-
-    Subclasses provide ``determinant_mantissa_exponent()``; the mantissa is
-    complex with magnitude in ``[1, 10)``, or exactly zero.
-    """
-
-    def determinant(self) -> complex:
-        """``det(A)`` as a plain complex (see :func:`decimal_complex`)."""
-        return decimal_complex(*self.determinant_mantissa_exponent())
-
-    def determinant_xfloat(self):
-        """``|det(A)|`` as an :class:`XFloat` plus the phase in radians."""
-        mantissa, exponent = self.determinant_mantissa_exponent()
-        if mantissa == 0:
-            return XFloat.zero(), 0.0
-        return XFloat(abs(mantissa), exponent), cmath.phase(mantissa)
-
-    def log10_determinant_magnitude(self) -> float:
-        """``log10 |det(A)|`` (``-inf`` for a singular matrix)."""
-        mantissa, exponent = self.determinant_mantissa_exponent()
-        if mantissa == 0:
-            return -math.inf
-        return math.log10(abs(mantissa)) + exponent

@@ -22,7 +22,8 @@ time, patched inside context managers:
 * :func:`failing_kernel` replaces
   ``repro.engine.resilience.batched_solve`` with a wrapper that raises
   :class:`~repro.errors.SingularMatrixError` on its N-th call and passes
-  every other call through untouched;
+  every other call through untouched, and counts the member-by-member
+  re-solves (``repro.engine.resilience.solve_members``) too;
 * :func:`parallel_faults` installs a **process-level** fault plan for the
   supervised multiprocess driver — SIGKILL a worker mid-shard, hang it past
   the heartbeat timeout, or crash the attempt — shipped to workers inside
@@ -197,9 +198,11 @@ def failing_kernel(nth=1):
     The patched kernel raises :class:`SingularMatrixError` on its ``nth``
     call (1-based) and behaves normally on every other call — the shape of
     a transient backend failure.  Yields a dict whose ``"count"`` entry
-    tracks how many calls the kernel received.
+    tracks how many calls the LAPACK kernels received: the batched kernel
+    and the member-by-member re-solve that retries a failed stack.
     """
     original = resilience.batched_solve
+    original_members = resilience.solve_members
     state = {"count": 0}
 
     def chaos(stack, rhs):
@@ -208,8 +211,14 @@ def failing_kernel(nth=1):
             raise SingularMatrixError("injected transient kernel failure")
         return original(stack, rhs)
 
+    def members(stack, rhs_stack):
+        state["count"] += 1
+        return original_members(stack, rhs_stack)
+
     resilience.batched_solve = chaos
+    resilience.solve_members = members
     try:
         yield state
     finally:
         resilience.batched_solve = original
+        resilience.solve_members = original_members

@@ -1,6 +1,5 @@
 """Tests for the adaptive scaling algorithm and the reference generation API."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from repro.interpolation.adaptive import (
     AdaptiveScalingInterpolator,
 )
 from repro.interpolation.reference import generate_reference
-from repro.interpolation.scaling import ScaleFactors
 from repro.netlist.transform import to_admittance_form
 from repro.nodal.sampler import NetworkFunctionSampler
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.analysis.ac import ACAnalysis, ac_sweep
 from repro.analysis.bode import (
-    BodeData,
     bode_from_response,
     gain_margin_db,
     phase_margin_deg,

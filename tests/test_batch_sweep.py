@@ -12,7 +12,7 @@ from repro.errors import SingularMatrixError
 from repro.interpolation.polynomial import Polynomial
 from repro.interpolation.rational import RationalFunction
 from repro.linalg.dense import batched_dense_lu, dense_lu
-from repro.linalg.lu import sparse_lu, sparse_lu_refactor
+from repro.linalg.lu import RefactorSchedule, sparse_lu
 from repro.linalg.sparse import SparseMatrix
 from repro.mna.builder import build_mna_system
 from repro.mna.solve import ac_solve, ac_sweep
@@ -76,6 +76,15 @@ class TestSparseRefactor:
         dense += np.diag(rng.normal(size=n) + 4.0)
         return SparseMatrix.from_dense(dense)
 
+    def _refactor(self, matrix, pattern):
+        """``matrix`` refactored along ``pattern``'s pivot order, as a
+        one-point batch of its compiled schedule."""
+        keys = [(row, col) for row, col, __ in matrix.entries()]
+        schedule = RefactorSchedule(matrix.n_rows, pattern.pivot_rows,
+                                    pattern.pivot_cols, keys)
+        values = [[value for __, ___, value in matrix.entries()]]
+        return schedule.factor(values, schedule.slots_of(keys))
+
     def test_refactor_matches_fresh(self):
         rng = np.random.default_rng(21)
         matrix = self._random_sparse(rng)
@@ -83,14 +92,16 @@ class TestSparseRefactor:
         shifted = matrix.copy()
         for row, col, value in list(matrix.entries()):
             shifted.set(row, col, value * (1.0 + 0.05j))
-        refactored = sparse_lu_refactor(shifted, pattern)
+        refactored = self._refactor(shifted, pattern)
+        assert refactored.failed_step.tolist() == [-1]
         fresh = sparse_lu(shifted)
         rhs = rng.normal(size=matrix.n_rows)
-        assert np.max(np.abs(refactored.solve(rhs) - fresh.solve(rhs))) < 1e-9
-        r_mantissa, r_exponent = refactored.determinant_mantissa_exponent()
+        assert np.max(np.abs(refactored.solve(rhs)[0]
+                             - fresh.solve(rhs))) < 1e-9
+        mantissas, exponents = refactored.determinants_mantissa_exponent()
         f_mantissa, f_exponent = fresh.determinant_mantissa_exponent()
-        assert r_exponent == f_exponent
-        assert r_mantissa == pytest.approx(f_mantissa, rel=1e-9)
+        assert exponents[0] == f_exponent
+        assert mantissas[0] == pytest.approx(f_mantissa, rel=1e-9)
 
     def test_zero_pivot_raises(self):
         rng = np.random.default_rng(22)
@@ -98,8 +109,11 @@ class TestSparseRefactor:
         pattern = sparse_lu(matrix)
         degenerate = matrix.copy()
         degenerate.set(pattern.pivot_rows[0], pattern.pivot_cols[0], 0.0)
+        # The compiled refactorization flags the zero reused pivot, and the
+        # fresh pivot search a flagged point gets refuses the matrix.
+        assert self._refactor(degenerate, pattern).failed_step.tolist() == [0]
         with pytest.raises(SingularMatrixError):
-            sparse_lu_refactor(degenerate, pattern)
+            sparse_lu(degenerate)
 
 
 class TestSampleManyEquivalence:

@@ -1,6 +1,5 @@
 """Tests for the experiment runners and report formatting (reporting package)."""
 
-import numpy as np
 import pytest
 
 from repro.reporting.experiments import (

@@ -11,7 +11,6 @@ from repro import (
     TransferSpec,
     build_rc_ladder,
     generate_reference,
-    interpolate_network_function,
     parse_netlist,
     to_admittance_form,
 )

@@ -12,7 +12,6 @@ from repro.interpolation.dft import inverse_dft_scaled
 from repro.interpolation.reduction import deflate_samples, deflation_point_count
 from repro.interpolation.scaling import ScaleFactors
 from repro.errors import InterpolationError
-from repro.netlist.transform import to_admittance_form
 from repro.nodal.sampler import NetworkFunctionSampler
 from repro.xfloat import XFloat
 

@@ -1,6 +1,5 @@
 """Tests for interpolation points, DFT, polynomials and rational functions."""
 
-import cmath
 import math
 
 import numpy as np

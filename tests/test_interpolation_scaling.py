@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import InterpolationError
 from repro.interpolation.regions import (
-    ValidRegion,
     coefficient_log10,
     error_level,
     find_valid_region,

@@ -9,7 +9,6 @@ from repro.analysis.montecarlo import (
     YieldSpec,
     corner_analysis,
     monte_carlo_analysis,
-    variance_attribution,
     yield_analysis,
 )
 from repro.engine.session import AnalysisSession

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NetlistError, UnknownElementError, UnknownNodeError
 from repro.netlist.circuit import Circuit
-from repro.netlist.elements import Capacitor, Resistor, VCCS
+from repro.netlist.elements import Capacitor, Resistor
 
 
 def build_sample():

@@ -5,14 +5,12 @@ import pytest
 from repro.errors import ParseError
 from repro.netlist.elements import (
     CCCS,
-    Capacitor,
     Conductor,
     CurrentSource,
     Inductor,
     Resistor,
     VCCS,
     VCVS,
-    VoltageSource,
 )
 from repro.netlist.parser import parse_netlist
 

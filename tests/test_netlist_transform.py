@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.ac import ACAnalysis
 from repro.errors import FormulationError
 from repro.netlist.circuit import Circuit
-from repro.netlist.elements import Capacitor, Conductor, CurrentSource, Resistor, VCCS
+from repro.netlist.elements import Capacitor, Conductor, CurrentSource, VCCS
 from repro.netlist.transform import (
     merge_parallel_admittances,
     norton_transform_sources,

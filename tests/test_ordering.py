@@ -10,8 +10,9 @@ Three pillars of the ordered sparse engine:
 * **Fill-in monotonicity** — the AMD order is never beaten by the natural
   order on the generator topologies (and is exact — zero fill — on trees).
 * **Error paths** — structurally deficient and numerically singular systems
-  fail loudly through :func:`~repro.linalg.lu.sparse_lu` and
-  :func:`~repro.linalg.lu.sparse_lu_refactor`, with and without an ordering.
+  fail loudly through :func:`~repro.linalg.lu.sparse_lu`, with and without
+  an ordering, and a compiled :class:`~repro.linalg.lu.RefactorSchedule`
+  flags a reused pivot that collapses.
 
 The sweep engine eliminates along that AMD order of its merged structure.
 """
@@ -25,7 +26,8 @@ from repro.circuits import build_clock_tree, build_rc_mesh
 from repro.circuits.generators import build_generator
 from repro.engine.sweep import SweepEngine
 from repro.errors import LinAlgError, SingularMatrixError
-from repro.linalg.lu import sparse_lu, sparse_lu_refactor, sparse_lu_reusing
+from repro.linalg.lu import (REFACTOR_STABILITY, RefactorSchedule, sparse_lu,
+                             sparse_lu_reusing)
 from repro.linalg.ordering import (fill_reducing_order, inverse_permutation,
                                    permute_symmetric)
 from repro.linalg.sparse import SparseMatrix
@@ -71,7 +73,7 @@ class TestPermutationRoundTrip:
 
         # And both must actually solve the original system.
         residual = np.max(np.abs(matrix.to_dense() @ x_direct - rhs))
-        assert residual <= 1e-9 * matrix.max_abs(), seed
+        assert residual <= 1e-9 * np.abs(matrix.to_dense()).max(), seed
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_random_circuit_round_trip(self, seed):
@@ -122,7 +124,7 @@ class TestErrorPaths:
     """Deficient systems fail loudly, ordered or not."""
 
     def test_column_order_must_be_permutation(self):
-        matrix = SparseMatrix.identity(3)
+        matrix = SparseMatrix.from_dense(np.eye(3))
         with pytest.raises(LinAlgError, match="permutation"):
             sparse_lu(matrix, column_order=[0, 1, 1])
         with pytest.raises(LinAlgError, match="permutation"):
@@ -151,35 +153,46 @@ class TestErrorPaths:
         matrix, keys, system = _mesh_matrix(8)
         n = matrix.n_rows
         order = fill_reducing_order(n, keys)
-        factorization, pattern, refactored = sparse_lu_reusing(
-            matrix, None, column_order=order)
-        assert not refactored and pattern is not None
+        factorization, pattern, refactored = sparse_lu_reusing(matrix, order)
+        assert not refactored and pattern is factorization
         assert pattern.pivot_cols == order
 
         broken = matrix.copy()
         row, col = pattern.pivot_rows[0], pattern.pivot_cols[0]
         broken.add(row, col, -broken.get(row, col))
-        with pytest.raises(SingularMatrixError, match="reused pivot"):
-            sparse_lu_refactor(broken, pattern)
+        schedule = RefactorSchedule(n, pattern.pivot_rows, pattern.pivot_cols,
+                                    keys)
+        factors = schedule.factor([[broken.get(*key) for key in keys]],
+                                  schedule.slots_of(keys))
+        assert factors.failed_step.tolist() == [0]
+        assert factors.pivots[0, 0] == 0
 
     def test_refactor_rejects_degraded_pivot(self):
         # The reused (0, 0) pivot collapses to 1e-12 of its column: the
         # stability guard must demand fresh pivoting instead of dividing.
-        matrix = SparseMatrix.from_entries(
-            2, 2, [((0, 0), 4.0), ((0, 1), 1.0),
-                   ((1, 0), 1.0), ((1, 1), 4.0)])
-        __, pattern, ___ = sparse_lu_reusing(matrix, None,
-                                             column_order=[0, 1])
-        degraded = matrix.copy()
-        degraded.set(0, 0, 4e-12)
-        with pytest.raises(SingularMatrixError, match="column magnitude"):
-            sparse_lu_refactor(degraded, pattern, stability=1e-8)
+        keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        matrix = SparseMatrix.from_entries(2, 2, zip(keys, [4.0, 1.0, 1.0,
+                                                            4.0]))
+        __, pattern, ___ = sparse_lu_reusing(matrix, [0, 1])
+        schedule = RefactorSchedule(2, pattern.pivot_rows, pattern.pivot_cols,
+                                    keys)
+        factors = schedule.factor([[4e-12, 1.0, 1.0, 4.0]],
+                                  schedule.slots_of(keys))
+        assert factors.failed_step.tolist() == [0]
+        assert 0 < abs(factors.pivots[0, 0]) < REFACTOR_STABILITY
 
     def test_refactor_shape_mismatch(self):
         matrix, keys, __ = _mesh_matrix(4)
-        __, pattern, ___ = sparse_lu_reusing(matrix, None)
-        with pytest.raises(LinAlgError, match="pattern"):
-            sparse_lu_refactor(SparseMatrix.identity(3), pattern)
+        __, pattern, ___ = sparse_lu_reusing(matrix)
+        n = pattern.n
+        with pytest.raises(LinAlgError, match="out of bounds"):
+            RefactorSchedule(n, pattern.pivot_rows, pattern.pivot_cols,
+                             [(n, n)])
+        schedule = RefactorSchedule(n, pattern.pivot_rows, pattern.pivot_cols,
+                                    keys)
+        with pytest.raises(LinAlgError, match="values must be"):
+            schedule.factor(np.ones((1, len(keys) + 1)),
+                            schedule.slots_of(keys))
 
     def test_singular_system_through_engine(self):
         # A floating node reaches the engine as a structurally deficient

@@ -8,12 +8,11 @@
   within 1e-12, norm-relative, on the tree / bus / mesh generators and the
   property harness's sparse topologies;
 * **bitwise** across batch splits — chunk sizes 1, 7, 37 and the whole sweep
-  give identical results, and so does the per-point ``sparse_lu_refactor``;
+  give identical results;
 * **degraded members** — a zero or 1e-8-weak reused pivot is flagged; the
   sweep engine factors that point freshly (counted, identical to the oracle)
-  and continues with the fresh pattern, the rule of the per-point
-  ``sparse_lu_reusing``; a resilient sweep counts that pivot search on the
-  fast stage;
+  and continues with the fresh pattern; a resilient sweep counts that pivot
+  search on the fast stage;
 * a matrix with an entry outside the compiled structure is **rejected**;
 * **one schedule per pivot order** — ensemble samples whose pivot searches
   choose the same order share one compiled schedule.
@@ -32,9 +31,9 @@ from repro.circuits.rc_ladder import build_rc_ladder
 from repro.engine.formulation import FormulationBase
 from repro.engine.resilience import SweepReport
 from repro.engine.sweep import SweepEngine
-from repro.errors import LinAlgError, SingularMatrixError
-from repro.linalg.lu import (LUFactorization, RefactorSchedule, sparse_lu,
-                             sparse_lu_refactor, sparse_lu_reusing)
+from repro.errors import LinAlgError
+from repro.linalg.lu import (REFACTOR_STABILITY, LUFactorization,
+                             RefactorSchedule, sparse_lu)
 from repro.linalg.ordering import fill_reducing_order
 from repro.linalg.sparse import SparseMatrix
 from repro.montecarlo import ParameterSpace, ensemble_sweep
@@ -75,11 +74,17 @@ def _relative(got, expected):
     return np.linalg.norm(got - expected) / np.linalg.norm(expected)
 
 
+def _schedule(pattern, keys):
+    """``pattern``'s pivot order compiled over ``keys``."""
+    return RefactorSchedule(pattern.n, pattern.pivot_rows, pattern.pivot_cols,
+                            keys)
+
+
 def _compiled(formulation, keys, values):
     n = formulation.dimension
     order = fill_reducing_order(n, keys)
     pattern = sparse_lu(_matrix(n, keys, values[0]), column_order=order)
-    schedule = pattern.refactor_schedule(keys)
+    schedule = _schedule(pattern, keys)
     return order, pattern, schedule, schedule.slots_of(keys)
 
 
@@ -105,8 +110,7 @@ def test_kernel_matches_scalar_oracle(name, build):
 @pytest.mark.parametrize("name,build", CIRCUITS[:3])
 def test_batch_splits_are_bitwise(name, build):
     formulation, keys, values, rhs = _sweep(build)
-    n = formulation.dimension
-    __, pattern, schedule, slots = _compiled(formulation, keys, values)
+    __, ___, schedule, slots = _compiled(formulation, keys, values)
     whole = schedule.factor(values, slots)
     mantissas, exponents = whole.determinants_mantissa_exponent()
     solutions = whole.solve(rhs)
@@ -129,12 +133,6 @@ def test_batch_splits_are_bitwise(name, build):
             assert np.array_equal(part.solve(rhs[start:stop]),
                                   solutions[start:stop])
             start = stop
-    # The per-point refactorization is a batch of one through the kernel.
-    for k in (1, 17, len(POINTS) - 1):
-        member = sparse_lu_refactor(_matrix(n, keys, values[k]), pattern)
-        assert np.array_equal(member.solve(rhs[k]), solutions[k])
-        assert member.determinant_mantissa_exponent() == (
-            complex(mantissas[k]), int(exponents[k]))
 
 
 @pytest.mark.parametrize("name,build", CIRCUITS[:3])
@@ -197,9 +195,8 @@ def test_degraded_member_refactors_freshly(monkeypatch, degraded_point,
     order = [0, 1, 2, 3]
     pattern = sparse_lu(_matrix(n, keys, constant + s[0] * dynamic),
                         column_order=order)
-    monkeypatch.setattr(
-        sweep_module, "_SPARSE_CHUNK_BYTES",
-        chunk * pattern.refactor_schedule(keys).member_bytes)
+    monkeypatch.setattr(sweep_module, "_SPARSE_CHUNK_BYTES",
+                        chunk * _schedule(pattern, keys).member_bytes)
 
     # The pencil is built for the natural order.
     monkeypatch.setattr(sweep_module, "fill_reducing_order",
@@ -209,8 +206,7 @@ def test_degraded_member_refactors_freshly(monkeypatch, degraded_point,
     # Points 0 and 2 are pivot searches, the other five refactorizations.
     assert engine.factorization_count == 2
     assert engine.refactorization_count == len(s) - 2
-    members = list(sweep.members())
-    fresh = members[2]
+    fresh = dict(sweep.factors)[2].factorization
     assert isinstance(fresh, LUFactorization)
     oracle = sparse_lu(_matrix(n, keys, constant + s[2] * dynamic),
                        column_order=order)
@@ -223,15 +219,6 @@ def test_degraded_member_refactors_freshly(monkeypatch, degraded_point,
         expected = np.linalg.solve(
             _dense(keys, constant + point * dynamic, n), _RHS)
         assert _relative(solutions[k], expected) <= 1e-12
-
-    # Per point, sparse_lu_reusing replaces the pattern by the same rule.
-    pattern = None
-    for k, point in enumerate(s):
-        factorization, pattern, refactored = sparse_lu_reusing(
-            _matrix(n, keys, constant + point * dynamic), pattern,
-            column_order=order)
-        assert refactored == (k not in (0, 2))
-        assert np.array_equal(factorization.solve(_RHS), solutions[k])
 
 
 def test_resilient_sweep_serves_degraded_pivot_on_fast_stage(monkeypatch):
@@ -261,25 +248,28 @@ def _dense(keys, values, n):
     return dense
 
 
-@pytest.mark.parametrize("degraded_point,match", [
+@pytest.mark.parametrize("degraded_point,failure", [
     (1.0, "is zero"), (1.0 + 1e-10, "column magnitude")])
-def test_kernel_flags_degraded_members(degraded_point, match):
+def test_kernel_flags_degraded_members(degraded_point, failure):
     keys, constant, dynamic = _PENCIL.merged_sparse_structure()
     n = _PENCIL.dimension
     s = np.array([3.0, degraded_point, 4.0], dtype=complex)
     values = constant[None, :] + s[:, None] * dynamic[None, :]
     pattern = sparse_lu(_matrix(n, keys, values[0]), column_order=range(n))
-    schedule = pattern.refactor_schedule(keys)
+    schedule = _schedule(pattern, keys)
     factors = schedule.factor(values, schedule.slots_of(keys))
     assert factors.failed_step.tolist() == [-1, 0, -1]
     assert factors.healthy_prefix() == 1
     mantissas, exponents = factors.determinants_mantissa_exponent()
     assert mantissas[1] == 0 and exponents[1] == 0
     assert not factors.solve(_RHS)[1].any()
-    with pytest.raises(SingularMatrixError, match=match):
-        factors.check(1)
-    with pytest.raises(SingularMatrixError, match=match):
-        sparse_lu_refactor(_matrix(n, keys, values[1]), pattern)
+    # The reused (0, 0) pivot is exactly zero, or keeps 1e-10 of its column.
+    pivot = abs(factors.pivots[1, 0])
+    if failure == "is zero":
+        assert pivot == 0
+    else:
+        assert 0 < pivot < REFACTOR_STABILITY * abs(values[1, keys.index(
+            (1, 0))])
 
 
 def test_entry_outside_compiled_structure_rejected():
@@ -287,34 +277,11 @@ def test_entry_outside_compiled_structure_rejected():
     schedule = _compiled(formulation, keys, values)[2]
     n = formulation.dimension
     outside = next((row, col) for row in range(n) for col in range(n)
-                   if not schedule.covers([(row, col)]))
+                   if (row, col) not in schedule._slot)
     with pytest.raises(LinAlgError, match="outside the compiled structure"):
         schedule.slots_of(list(keys) + [outside])
     with pytest.raises(LinAlgError, match="values must be"):
         schedule.factor(values[:, :-1], schedule.slots_of(keys))
-    # The per-point path compiles the union instead of failing.
-    widened = schedule.covering([outside])
-    assert widened is not schedule and widened.covers(list(keys) + [outside])
-    assert schedule.covering(keys) is schedule
-
-
-def test_refactor_widens_the_schedule_for_new_entries():
-    # At s = 0 the capacitive coupling (0, 3) is absent from the matrix the
-    # pattern came from; the per-point refactorization at s = 1 brings it.
-    dynamic = np.diag([0.5, 0.1, 0.2, 0.3])
-    dynamic[0, 3] = dynamic[3, 0] = -0.05
-    pencil = _Pencil(_PENCIL.sparse_parts()[0].to_dense().real, dynamic)
-    keys, constant, dynamic_values = pencil.merged_sparse_structure()
-    n = pencil.dimension
-    pattern = sparse_lu(_matrix(n, keys, constant), column_order=range(n))
-    narrow = pattern.refactor_schedule([(row, col) for row, col, __ in
-                                        _matrix(n, keys, constant).entries()])
-    assert not narrow.covers([(0, 3)])
-    matrix = _matrix(n, keys, constant + dynamic_values)
-    member = sparse_lu_refactor(matrix, pattern)
-    assert pattern.refactor_schedule([(0, 3)]).covers(keys)
-    expected = np.linalg.solve(matrix.to_dense(), _RHS)
-    assert _relative(member.solve(_RHS), expected) <= 1e-12
 
 
 def test_ensemble_samples_share_one_schedule_per_order(monkeypatch):

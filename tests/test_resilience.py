@@ -499,31 +499,33 @@ class TestEnsembleQuarantine:
                     *arguments, values=values, method=method, shard_size=2,
                     workers=int(mode[-1]), on_failure="raise")
 
-    @pytest.mark.parametrize("mode", ["stored", "streaming", "workers=1",
-                                      "workers=2"])
-    def test_sparse_raise_mode_refuses_nan_member(self, ladder, mode):
-        # A NaN stamped into member 2 is refused before its pivot search, as
-        # the dense path and the escalation chain refuse it, and the error
-        # names the member by its place in the whole run.
+    @pytest.mark.parametrize("method,mode", [
+        pytest.param(method, mode,
+                     id=mode if method == "sparse" else f"{method}-{mode}")
+        for method in ("sparse", "dense")
+        for mode in ("stored", "streaming", "workers=1", "workers=2")])
+    def test_sparse_raise_mode_refuses_nan_member(self, ladder, method, mode):
+        # A NaN stamped into member 2 is refused — on the sparse path before
+        # its pivot search, on the dense path by LAPACK — and the error names
+        # the member and its first point by their place in the whole run.
         circuit, spec, space = ladder
         values = space.sample_values(4, seed=3)
         arguments = (circuit, spec, FREQUENCIES, space)
         with ensemble_faults({2: "nan"}, ensemble_values=values):
             with pytest.raises(SingularMatrixError,
-                               match="ensemble member 2 ") as excinfo:
+                               match="ensemble member 2 at sweep point 0 "
+                                     "is singular") as excinfo:
                 if mode == "stored":
-                    ensemble_sweep(*arguments, values=values,
-                                   method="sparse")
+                    ensemble_sweep(*arguments, values=values, method=method)
                 elif mode == "streaming":
-                    ensemble_sweep(*arguments, values=values,
-                                   method="sparse", store_responses=False,
-                                   shard_size=2)
+                    ensemble_sweep(*arguments, values=values, method=method,
+                                   store_responses=False, shard_size=2)
                 else:
                     parallel_ensemble_sweep(
-                        *arguments, values=values, method="sparse",
+                        *arguments, values=values, method=method,
                         shard_size=2, workers=int(mode[-1]),
                         on_failure="raise")
-        if mode == "stored":
+        if mode == "stored" and method == "sparse":
             assert "non-finite" in str(excinfo.value.__cause__)
 
 

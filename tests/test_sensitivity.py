@@ -13,17 +13,12 @@ import pytest
 
 from repro.circuits.miller_ota import build_miller_ota
 from repro.circuits.ua741 import build_ua741
-from repro.errors import (FormulationError, SingularMatrixError,
-                          UnknownElementError)
-from repro.linalg.dense import batched_dense_lu, dense_lu
-from repro.linalg.lu import sparse_lu, sparse_lu_refactor
-from repro.linalg.rank1 import rank1_update_solve
-from repro.linalg.sparse import SparseMatrix
+from repro.errors import FormulationError, UnknownElementError
+from repro.linalg.dense import batched_dense_lu
 from repro.mna.builder import build_mna_system
 from repro.mna.solve import ac_factor_sweep, ac_sweep
 from repro.analysis.sensitivity import element_sensitivities, screen_elements
 from repro.netlist.circuit import Circuit
-from repro.nodal.admittance import build_nodal_formulation
 from repro.nodal.reduce import TransferSpec
 
 
@@ -35,90 +30,6 @@ def ua741():
 @pytest.fixture(scope="module")
 def miller():
     return build_miller_ota()
-
-
-def _random_system(rng, n):
-    matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    matrix += n * np.eye(n)  # keep comfortably nonsingular
-    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    u = rng.standard_normal(n)
-    v = rng.standard_normal(n)
-    return matrix, rhs, u, v
-
-
-class TestRank1UpdateSolve:
-    def test_dense_matches_direct_factorization(self):
-        rng = np.random.default_rng(1)
-        matrix, rhs, u, v = _random_system(rng, 9)
-        delta = 0.7 - 0.3j
-        updated = matrix + delta * np.outer(u, v)
-        expected = dense_lu(updated).solve(rhs)
-        actual = rank1_update_solve(dense_lu(matrix), u, v, delta, rhs)
-        np.testing.assert_allclose(actual, expected, rtol=1e-10)
-
-    def test_dense_reuses_precomputed_solutions(self):
-        rng = np.random.default_rng(2)
-        matrix, rhs, u, v = _random_system(rng, 7)
-        factorization = dense_lu(matrix)
-        baseline = factorization.solve(rhs)
-        update = factorization.solve(u)
-        delta = -1.5
-        direct = rank1_update_solve(factorization, u, v, delta, rhs)
-        reused = rank1_update_solve(factorization, u, v, delta, rhs,
-                                    baseline_solution=baseline,
-                                    update_solution=update)
-        np.testing.assert_array_equal(direct, reused)
-
-    def test_batched_with_per_member_delta(self):
-        rng = np.random.default_rng(3)
-        n, batch = 6, 5
-        stack = (rng.standard_normal((batch, n, n))
-                 + 1j * rng.standard_normal((batch, n, n))
-                 + n * np.eye(n))
-        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        deltas = rng.standard_normal(batch) + 1j * rng.standard_normal(batch)
-        solutions = rank1_update_solve(batched_dense_lu(stack.copy()),
-                                       u, v, deltas, rhs)
-        for k in range(batch):
-            updated = stack[k] + deltas[k] * np.outer(u, v)
-            np.testing.assert_allclose(solutions[k],
-                                       dense_lu(updated).solve(rhs),
-                                       rtol=1e-9)
-
-    def test_sparse_factorization_and_refactorization(self):
-        rng = np.random.default_rng(4)
-        matrix, rhs, u, v = _random_system(rng, 8)
-        sparse = SparseMatrix.from_dense(matrix)
-        factorization = sparse_lu(sparse)
-        delta = 0.25 + 0.1j
-        expected = dense_lu(matrix + delta * np.outer(u, v)).solve(rhs)
-        np.testing.assert_allclose(
-            rank1_update_solve(factorization, u, v, delta, rhs),
-            expected, rtol=1e-9)
-        # Factors produced by the refactor-many path work unchanged.
-        refactored = sparse_lu_refactor(
-            SparseMatrix.from_dense(matrix * (1.0 + 0.5j)), factorization)
-        expected = dense_lu(matrix * (1.0 + 0.5j)
-                            + delta * np.outer(u, v)).solve(rhs)
-        np.testing.assert_allclose(
-            rank1_update_solve(refactored, u, v, delta, rhs),
-            expected, rtol=1e-9)
-
-    def test_singular_update_raises(self):
-        # A' = A - A e1 e1^T-ish: choose delta so that 1 + delta*v.(A^-1 u)=0.
-        matrix = np.diag([2.0, 3.0, 4.0]).astype(complex)
-        u = np.array([1.0, 0.0, 0.0])
-        v = np.array([1.0, 0.0, 0.0])
-        factorization = dense_lu(matrix)
-        with pytest.raises(SingularMatrixError):
-            rank1_update_solve(factorization, u, v, -2.0,
-                               np.ones(3, dtype=complex))
-        stack = np.broadcast_to(matrix, (4, 3, 3)).copy()
-        with pytest.raises(SingularMatrixError):
-            rank1_update_solve(batched_dense_lu(stack), u, v, -2.0,
-                               np.ones(3, dtype=complex))
 
 
 class TestBatchedSolveMatrix:
@@ -157,8 +68,9 @@ class TestElementStamps:
             stamp = system.element_stamp(name)
             removed = build_mna_system(circuit.with_element_removed(name))
             assert removed.node_names == system.node_names
+            admittance = stamp.conductance + s * stamp.capacitance
             reconstructed = (removed.assemble(s).to_dense()
-                             + stamp.admittance(s) * np.outer(stamp.u, stamp.v))
+                             + admittance * np.outer(stamp.u, stamp.v))
             np.testing.assert_allclose(reconstructed, full, rtol=1e-12,
                                        atol=1e-30)
 
@@ -167,44 +79,6 @@ class TestElementStamps:
         system = build_mna_system(circuit)
         with pytest.raises(FormulationError):
             system.element_stamp("Vip")
-
-    def test_nodal_stamp_with_forced_nodes(self, miller):
-        circuit, spec = miller
-        formulation = build_nodal_formulation(circuit, spec)
-        s = 2j * np.pi * 1e6
-        factor = 1.37
-        # M1.cgs touches the forced input node "inp", M1.gm is controlled by
-        # it: both matrix and right-hand side must shift per the stamp.
-        for name in ("M1.cgs", "M1.gm", "Cc"):
-            stamp = formulation.element_stamp(name)
-            scaled = build_nodal_formulation(
-                circuit.with_value_scaled(name, factor), spec)
-            delta = (factor - 1.0) * stamp.admittance(s)
-            np.testing.assert_allclose(
-                formulation.assemble(s).to_dense()
-                + delta * np.outer(stamp.u, stamp.v),
-                scaled.assemble(s).to_dense(), rtol=1e-12, atol=1e-30)
-            np.testing.assert_allclose(
-                formulation.rhs(s) - delta * stamp.rhs_projection * stamp.u,
-                scaled.rhs(s), rtol=1e-12, atol=1e-30)
-
-    def test_nodal_stamp_solves_scaled_circuit(self, miller):
-        # End to end: rank1_update_solve on the baseline factors reproduces
-        # the scaled circuit's solution, forced-node coupling included.
-        circuit, spec = miller
-        formulation = build_nodal_formulation(circuit, spec)
-        s = 2j * np.pi * 1e6
-        name, factor = "M1.gm", 1.25
-        stamp = formulation.element_stamp(name)
-        delta = (factor - 1.0) * stamp.admittance(s)
-        factorization = dense_lu(formulation.assemble(s).to_dense())
-        solution = rank1_update_solve(
-            factorization, stamp.u, stamp.v, delta,
-            formulation.rhs(s) - delta * stamp.rhs_projection * stamp.u)
-        scaled = build_nodal_formulation(
-            circuit.with_value_scaled(name, factor), spec)
-        expected = dense_lu(scaled.assemble(s).to_dense()).solve(scaled.rhs(s))
-        np.testing.assert_allclose(solution, expected, rtol=1e-9)
 
 
 class TestAcFactorSweep:

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits.miller_ota import build_miller_ota
-from repro.circuits.rc_ladder import build_rc_ladder, rc_ladder_denominator_coefficients
+from repro.circuits.rc_ladder import rc_ladder_denominator_coefficients
 from repro.errors import SimplificationError, SymbolicError
 from repro.interpolation.reference import generate_reference
 from repro.netlist.circuit import Circuit
 from repro.netlist.transform import to_admittance_form
-from repro.nodal.reduce import TransferSpec
 from repro.nodal.sampler import NetworkFunctionSampler
 from repro.symbolic.determinant import symbolic_determinant
 from repro.symbolic.generation import (

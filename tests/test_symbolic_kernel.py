@@ -40,7 +40,6 @@ from repro.symbolic.generation import (
     symbolic_network_function,
 )
 from repro.symbolic.kernel import (
-    DeterminantEngine,
     SymbolInterner,
     TermValuation,
     sum_term_values,

@@ -1,7 +1,5 @@
 """Tests for SPICE value parsing and engineering formatting."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
